@@ -15,11 +15,14 @@ Schema (every ``*_hz`` key is an ordinary frequency nu = omega/2pi in Hz):
     theta_rad       drive squeezing phase in rad
     temperature_k   bath temperature in K
 
-Blank lines and ``#`` comments are ignored.  Values merge with precedence
-command-line ``--set`` > configuration file > built-in defaults.
+Blank lines and ``#`` comments are ignored, and ``nan`` or ``inf`` values
+are rejected.  Values merge with precedence command-line ``--set`` >
+preset-pinned values > configuration file > built-in defaults.
 """
 
 from __future__ import annotations
+
+import math
 
 from .model import DriveParams, SystemParams, hz_to_internal
 
@@ -66,6 +69,8 @@ def _parse_entry(key: str, raw: str, where: str) -> tuple[str, float]:
         value = float(raw.strip())
     except ValueError:
         raise ValueError(f"{where}: value for {key!r} is not a number: {raw.strip()!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: value for {key!r} must be finite, got {raw.strip()!r}")
     return key, value
 
 

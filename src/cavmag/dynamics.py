@@ -48,6 +48,10 @@ class DriftMatrix:
         _frozen_array(self, "a", self.a, (6, 6))
 
 
+def _drift_array(a) -> np.ndarray:
+    return a.a if isinstance(a, DriftMatrix) else np.asarray(a, dtype=float)
+
+
 @dataclass(frozen=True)
 class DiffusionMatrix:
     """6x6 real symmetric positive-semidefinite noise matrix, same basis."""
@@ -138,6 +142,5 @@ def stability_check(a: DriftMatrix | np.ndarray) -> StabilityReport:
     Eigenvalue iteration failures propagate as numpy.linalg.LinAlgError;
     the check never reports "stable" without a converged spectrum.
     """
-    arr = a.a if isinstance(a, DriftMatrix) else np.asarray(a, dtype=float)
-    max_real = float(np.linalg.eigvals(arr).real.max())
+    max_real = float(np.linalg.eigvals(_drift_array(a)).real.max())
     return StabilityReport(stable=max_real < -STABILITY_EPS, max_real_part=max_real)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .steadystate import CovarianceMatrix, symplectic_form, symplectic_eigenvalues
+from .steadystate import CovarianceMatrix, _Covariance, symplectic_form
+from .steadystate import symplectic_eigenvalues  # noqa: F401  (re-exported)
 
 VACUUM_VARIANCE = 0.5
 
@@ -33,31 +34,11 @@ _PARTIAL_TRANSPOSE = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
-class TwoModeCM:
+class TwoModeCM(_Covariance):
     """4x4 symmetrized covariance of the magnon pair, basis (dx1, dy1, dx2, dy2)."""
 
-    v: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.v, dtype=float)
-        if arr.shape != (4, 4):
-            raise ValueError(f"two-mode covariance must be 4x4, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("two-mode covariance must be finite")
-        scale = max(float(np.abs(arr).max()), 1.0)
-        asymmetry = float(np.abs(arr - arr.T).max())
-        if asymmetry > 1e-12 * scale:
-            raise ValueError(
-                f"two-mode covariance asymmetric: max |v - v.T| = {asymmetry:.3e}"
-            )
-        arr = 0.5 * (arr + arr.T)
-        if np.any(np.diag(arr) <= 0.0):
-            raise ValueError("two-mode covariance diagonal must be positive")
-        arr.setflags(write=False)
-        object.__setattr__(self, "v", arr)
-
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        return symplectic_eigenvalues(self.v)
+    _DIM = 4
+    _NAME = "two-mode covariance"
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ test suite; both enforce the same residual bound on every result.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .dynamics import DiffusionMatrix, DriftMatrix, stability_check
+from .dynamics import DiffusionMatrix, _drift_array, stability_check
 
 # Max-norm residual of A V + V A^T + D, relative to the max-norm of D.
 RESIDUAL_RTOL = 1e-10
@@ -26,10 +27,15 @@ class UnstableSystemError(RuntimeError):
     """The drift matrix is not asymptotically stable; no steady state exists."""
 
 
+@functools.lru_cache(maxsize=None)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return scipy.linalg.block_diag(*([j] * n_modes))
+    """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode;
+    built once per mode count and returned read-only."""
+    form = np.zeros((2 * n_modes, 2 * n_modes))
+    x = np.arange(0, 2 * n_modes, 2)
+    form[x, x + 1], form[x + 1, x] = 1.0, -1.0
+    form.setflags(write=False)
+    return form
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
@@ -46,31 +52,35 @@ def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CovarianceMatrix:
-    """6x6 symmetrized quadrature covariance, basis (dX, dY, dx1, dy1, dx2, dy2).
+class _Covariance:
+    """_DIM x _DIM covariance, vacuum variance 1/2 per quadrature.
 
-    Vacuum variance is 1/2 per quadrature.  Construction rejects matrices
-    that are asymmetric beyond 1e-12 relative tolerance or have a
-    nonpositive diagonal, and stores the exactly symmetrized array.
+    Construction rejects a wrong shape, non-finite entries, asymmetry
+    beyond 1e-12 relative tolerance and a nonpositive diagonal, and
+    stores the exactly symmetrized array read-only.
     """
 
     v: np.ndarray
 
+    _DIM = 0
+    _NAME = "covariance matrix"
+
     def __post_init__(self):
         arr = np.array(self.v, dtype=float)
-        if arr.shape != (6, 6):
-            raise ValueError(f"covariance matrix must be 6x6, got {arr.shape}")
+        n, name = self._DIM, self._NAME
+        if arr.shape != (n, n):
+            raise ValueError(f"{name} must be {n}x{n}, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("covariance matrix must be finite")
+            raise ValueError(f"{name} must be finite")
         scale = max(float(np.abs(arr).max()), 1.0)
         asymmetry = float(np.abs(arr - arr.T).max())
         if asymmetry > _SYMMETRY_RTOL * scale:
             raise ValueError(
-                f"covariance matrix asymmetric: max |v - v.T| = {asymmetry:.3e}"
+                f"{name} asymmetric: max |v - v.T| = {asymmetry:.3e}"
             )
         arr = 0.5 * (arr + arr.T)
         if np.any(np.diag(arr) <= 0.0):
-            raise ValueError("covariance diagonal entries must be positive")
+            raise ValueError(f"{name} diagonal entries must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "v", arr)
 
@@ -78,8 +88,11 @@ class CovarianceMatrix:
         return symplectic_eigenvalues(self.v)
 
 
-def _drift_array(a) -> np.ndarray:
-    return a.a if isinstance(a, DriftMatrix) else np.asarray(a, dtype=float)
+@dataclass(frozen=True)
+class CovarianceMatrix(_Covariance):
+    """6x6 symmetrized quadrature covariance, basis (dX, dY, dx1, dy1, dx2, dy2)."""
+
+    _DIM = 6
 
 
 def _diffusion_array(d) -> np.ndarray:

@@ -23,6 +23,8 @@ import numpy as np
 from . import config
 from .dynamics import build_diffusion, build_drift, stability_check
 from .measures import (
+    DUAN_BOUND,
+    MANCINI_BOUND,
     collective_variances,
     duan_sum,
     log_negativity,
@@ -203,30 +205,24 @@ def evaluate_point(fixed: FixedPoint):
     return _evaluate_grid_point(fixed.params, fixed.drive, fixed.temperature)
 
 
-def _axis_values(rng) -> np.ndarray:
+def _axis_values(rng) -> list[float]:
     lo, hi, count = rng
-    return np.linspace(lo, hi, int(count))
+    return np.linspace(lo, hi, int(count)).tolist()
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid, axis1-major then axis2, deterministically."""
     grid1 = _axis_values(spec.range1)
-    grid2 = _axis_values(spec.range2) if spec.axis2 is not None else None
+    grid2 = _axis_values(spec.range2) if spec.axis2 is not None else [None]
     rows = []
     for v1 in grid1:
-        params, drive, temp = _apply_value(
-            spec.axis1, float(v1), spec.fixed.params, spec.fixed.drive,
-            spec.fixed.temperature)
-        if grid2 is None:
-            stable, quantities = _evaluate_grid_point(params, drive, temp)
-            values = tuple(quantities[n] for n in spec.outputs) if stable else None
-            rows.append(GridRow(float(v1), None, stable, values))
-            continue
+        base = _apply_value(spec.axis1, v1, spec.fixed.params, spec.fixed.drive,
+                            spec.fixed.temperature)
         for v2 in grid2:
-            p2, d2, t2 = _apply_value(spec.axis2, float(v2), params, drive, temp)
-            stable, quantities = _evaluate_grid_point(p2, d2, t2)
+            point = base if v2 is None else _apply_value(spec.axis2, v2, *base)
+            stable, quantities = _evaluate_grid_point(*point)
             values = tuple(quantities[n] for n in spec.outputs) if stable else None
-            rows.append(GridRow(float(v1), float(v2), stable, values))
+            rows.append(GridRow(v1, v2, stable, values))
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
@@ -450,8 +446,9 @@ def check_certification_chain(csv_text: str) -> list[str]:
         e_col = header.index("log_negativity")
     except ValueError:
         return []
-    duan_col = header.index("duan_sum") if "duan_sum" in header else None
-    mancini_col = header.index("mancini_product") if "mancini_product" in header else None
+    bounds = [(name, header.index(name), bound)
+              for name, bound in (("duan_sum", DUAN_BOUND), ("mancini_product", MANCINI_BOUND))
+              if name in header]
     stability_col = header.index("stability")
     violations = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -459,18 +456,11 @@ def check_certification_chain(csv_text: str) -> list[str]:
         if cells[stability_col] != "stable":
             continue
         e_value = float(cells[e_col])
-        if duan_col is not None:
-            duan = float(cells[duan_col])
-            if duan < 1.0 and not e_value > 0.0:
+        for name, col, bound in bounds:
+            value = float(cells[col])
+            if value < bound and not e_value > 0.0:
                 violations.append(
-                    f"line {lineno}: duan_sum = {duan} < 1 but "
-                    f"log_negativity = {e_value}"
-                )
-        if mancini_col is not None:
-            mancini = float(cells[mancini_col])
-            if mancini < 0.25 and not e_value > 0.0:
-                violations.append(
-                    f"line {lineno}: mancini_product = {mancini} < 1/4 but "
+                    f"line {lineno}: {name} = {value} < {bound:g} but "
                     f"log_negativity = {e_value}"
                 )
     return violations

@@ -77,6 +77,12 @@ def test_bad_set_key_is_usage_error(capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_non_finite_set_value_names_the_key(capsys):
+    assert main(["point", "--set", "temperature_k=nan"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "'temperature_k' must be finite" in err
+
+
 def test_bad_range_axis_is_usage_error(capsys):
     assert main(["sweep", "--preset", "fig3", "--points", "3",
                  "--range", "r=0:1"]) == 1

@@ -27,6 +27,14 @@ def test_parse_rejects_bad_number():
         config.parse_config_text("r = fast\n")
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite(raw):
+    with pytest.raises(ValueError, match="'temperature_k' must be finite"):
+        config.parse_config_text(f"temperature_k = {raw}\n")
+    with pytest.raises(ValueError, match="'g1_hz' must be finite"):
+        config.parse_overrides([f"g1_hz={raw}"])
+
+
 def test_parse_rejects_missing_equals():
     with pytest.raises(ValueError, match="key = value"):
         config.parse_config_text("r 2\n")

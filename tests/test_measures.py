@@ -248,3 +248,9 @@ def test_two_mode_cm_validation():
     nonpositive[1, 1] = -0.1
     with pytest.raises(ValueError):
         TwoModeCM(nonpositive)
+    with pytest.raises(ValueError, match="4x4"):
+        TwoModeCM(0.5 * np.eye(6))
+    non_finite = 0.5 * np.eye(4)
+    non_finite[2, 3] = non_finite[3, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        TwoModeCM(non_finite)

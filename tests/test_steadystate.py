@@ -19,6 +19,7 @@ from cavmag.steadystate import (
     solve_lyapunov,
     solve_lyapunov_kron,
     symplectic_eigenvalues,
+    symplectic_form,
 )
 
 # Steady-state <dx1^2> at the reference point (r = 2, theta = 0, 20 mK),
@@ -221,6 +222,12 @@ def test_covariance_matrix_validation():
     nonpositive[2, 2] = 0.0
     with pytest.raises(ValueError):
         CovarianceMatrix(nonpositive)
+    with pytest.raises(ValueError, match="6x6"):
+        CovarianceMatrix(0.5 * np.eye(4))
+    non_finite = 0.5 * np.eye(6)
+    non_finite[0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        CovarianceMatrix(non_finite)
 
 
 def test_covariance_matrix_symmetrizes_storage():
@@ -228,6 +235,14 @@ def test_covariance_matrix_symmetrizes_storage():
     v[0, 1] = 1e-14  # within tolerance, must come out exactly symmetric
     cm = CovarianceMatrix(v)
     assert np.array_equal(cm.v, cm.v.T)
+
+
+def test_symplectic_form_is_constant_and_read_only():
+    form = symplectic_form(2)
+    assert np.array_equal(form, [[0, 1, 0, 0], [-1, 0, 0, 0],
+                                 [0, 0, 0, 1], [0, 0, -1, 0]])
+    assert symplectic_form(2) is form
+    assert not form.flags.writeable
 
 
 def test_symplectic_eigenvalues_of_vacuum():

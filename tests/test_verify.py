@@ -1,0 +1,42 @@
+import pytest
+
+from cavmag import verify
+from cavmag.sweep import GridRow, SweepResult, SweepSpec, preset
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Count the sweeps verify runs, with a fake run_sweep and a clean memo."""
+    calls = []
+
+    def fake_run_sweep(spec):
+        calls.append(spec)
+        return SweepResult(spec=spec, rows=())
+
+    verify._grid_sweep.cache_clear()
+    monkeypatch.setattr(verify, "run_sweep", fake_run_sweep)
+    yield calls
+    verify._grid_sweep.cache_clear()
+
+
+def test_presets_on_one_grid_share_one_sweep(sweep_calls):
+    fig2b = verify._preset_sweep("fig2b")
+    assert verify._preset_sweep("fig4a") is fig2b
+    assert len(sweep_calls) == 1
+    verify._preset_sweep("fig2a")
+    assert len(sweep_calls) == 2
+    assert all(spec.outputs == verify._VERIFY_OUTPUTS for spec in sweep_calls)
+
+
+@pytest.mark.parametrize("e_value, passed", [(0.0, False), (0.1, True)])
+def test_criterion_consistency_flags_chain_violation(monkeypatch, e_value, passed):
+    # One stable row with duan_sum < 1: it must come with E > 0.
+    spec = SweepSpec(axis1="delta_a", range1=(0.0, 1.0, 2),
+                     fixed=preset("fig2b").fixed, outputs=verify._VERIFY_OUTPUTS)
+    rows = (GridRow(0.0, None, True, (e_value, 0.5, 0.3, 0.4)),
+            GridRow(1.0, None, False, None))
+    monkeypatch.setattr(verify, "_preset_sweep",
+                        lambda name: SweepResult(spec=spec, rows=rows))
+    result = verify.check_criterion_consistency()
+    assert result.passed is passed
+    assert result.detail.startswith(f"{0 if passed else 3} chain violations")
