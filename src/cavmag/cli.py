@@ -97,10 +97,7 @@ def _parse_range(text):
 
 def _cmd_sweep(args) -> int:
     file_values, set_values = _load_values(args)
-    base = sweep_mod.fixed_from_values(config.merge(file_values))
-    spec = sweep_mod.preset(args.preset, points=args.points, fixed=base)
-    if set_values:
-        spec = sweep_mod.with_values(spec, set_values)
+    spec = sweep_mod.preset(args.preset, args.points, file_values, set_values)
     for item in args.range:
         axis, lo, hi = _parse_range(item)
         spec = sweep_mod.with_range(spec, axis, lo, hi)

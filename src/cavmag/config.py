@@ -108,9 +108,16 @@ def parse_overrides(assignments) -> dict[str, float]:
 
 
 def merge(*layers: dict[str, float]) -> dict[str, float]:
-    """Merge value dicts on top of the defaults; later layers win."""
+    """Merge value dicts on top of the defaults; later layers win.
+
+    Every key must be a configuration key."""
     values = dict(DEFAULTS)
     for layer in layers:
+        for key in layer:
+            if key not in CONFIG_KEYS:
+                raise ValueError(
+                    f"unknown key {key!r}; valid keys: {', '.join(CONFIG_KEYS)}"
+                )
         values.update(layer)
     return values
 

@@ -152,7 +152,7 @@ def _check_range(axis, rng):
 
 
 def _apply_value(name, value, params, drive, temperature):
-    """Route one axis (or pinned) value into the parameter set."""
+    """Route one axis value into the parameter set."""
     if name == "delta_a":
         params = replace(params, omega_a=params.omega_s + hz_to_internal(value))
     elif name == "delta_m":
@@ -237,71 +237,82 @@ def single_sample_mode(spec: SweepSpec) -> SweepSpec:
 
 @dataclass(frozen=True)
 class _PresetDef:
+    """Axes, outputs and pinned configuration keys of one figure.
+
+    ``resonant`` names the mode-frequency keys set to the final
+    ``omega_s_hz``, so the pinned resonance follows the drive.
+    """
+
     axes: tuple[str, ...]
     pins: tuple[tuple[str, float], ...]
     outputs: tuple[str, ...]
-    single_sample: bool = False
+    resonant: tuple[str, ...] = ()
 
 
-_ZERO_DETUNED = (("delta_a", 0.0), ("delta_m", 0.0))
+_ALL_MODES = ("omega_a_hz", "omega_m1_hz", "omega_m2_hz")
 
 _PRESETS = {
     # Entanglement maps over detunings at two drive strengths.
     "fig2a": _PresetDef(
         axes=("delta_a", "delta_m"),
-        pins=(("r", 1.0), ("theta", 0.0), ("temperature", 0.02)),
+        pins=(("r", 1.0), ("theta_rad", 0.0), ("temperature_k", 0.02)),
         outputs=("log_negativity", "duan_sum", "mancini_product"),
     ),
     "fig2b": _PresetDef(
         axes=("delta_a", "delta_m"),
-        pins=(("r", 2.0), ("theta", 0.0), ("temperature", 0.02)),
+        pins=(("r", 2.0), ("theta_rad", 0.0), ("temperature_k", 0.02)),
         outputs=("log_negativity", "duan_sum", "mancini_product"),
     ),
     # Entanglement against temperature at resonance.
     "fig3": _PresetDef(
         axes=("temperature",),
-        pins=_ZERO_DETUNED + (("r", 2.0), ("theta", 0.0)),
+        pins=(("r", 2.0), ("theta_rad", 0.0)),
         outputs=("log_negativity",),
+        resonant=_ALL_MODES,
     ),
     # Inseparability sum over detunings; collective variance over drive.
     "fig4a": _PresetDef(
         axes=("delta_a", "delta_m"),
-        pins=(("r", 2.0), ("theta", 0.0), ("temperature", 0.02)),
+        pins=(("r", 2.0), ("theta_rad", 0.0), ("temperature_k", 0.02)),
         outputs=("duan_sum", "log_negativity", "mancini_product"),
     ),
     "fig4b": _PresetDef(
         axes=("delta_a", "r"),
-        pins=(("delta_m", 0.0), ("theta", 0.0), ("temperature", 0.02)),
+        pins=(("theta_rad", 0.0), ("temperature_k", 0.02)),
         outputs=("var_Mx", "squeezing_db_Mx"),
+        resonant=("omega_m1_hz", "omega_m2_hz"),
     ),
     # Single-magnon quadrature variance maps.
     "fig5a": _PresetDef(
         axes=("delta_a", "delta_m"),
-        pins=(("r", 2.0), ("theta", 0.0), ("temperature", 0.02)),
+        pins=(("r", 2.0), ("theta_rad", 0.0), ("temperature_k", 0.02)),
         outputs=("var_x1", "squeezing_db_x1"),
     ),
     "fig5b": _PresetDef(
         axes=("r", "theta"),
-        pins=_ZERO_DETUNED + (("temperature", 0.02),),
+        pins=(("temperature_k", 0.02),),
         outputs=("var_x1", "squeezing_db_x1"),
+        resonant=_ALL_MODES,
     ),
-    # Variance against drive and temperature: both samples, one sample,
-    # and the collective quadrature.
+    # Variance against drive and temperature: both samples, one sample
+    # (second magnon decoupled, its bath kept), and the collective quadrature.
     "fig6a": _PresetDef(
         axes=("r", "temperature"),
-        pins=_ZERO_DETUNED + (("theta", 0.0),),
+        pins=(("theta_rad", 0.0),),
         outputs=("var_x1", "squeezing_db_x1"),
+        resonant=_ALL_MODES,
     ),
     "fig6b": _PresetDef(
         axes=("r", "temperature"),
-        pins=_ZERO_DETUNED + (("theta", 0.0),),
+        pins=(("theta_rad", 0.0), ("g2_hz", 0.0)),
         outputs=("var_x1", "squeezing_db_x1"),
-        single_sample=True,
+        resonant=_ALL_MODES,
     ),
     "fig6c": _PresetDef(
         axes=("r", "temperature"),
-        pins=_ZERO_DETUNED + (("theta", 0.0),),
+        pins=(("theta_rad", 0.0),),
         outputs=("var_Mx", "squeezing_db_Mx"),
+        resonant=_ALL_MODES,
     ),
 }
 
@@ -317,25 +328,6 @@ def fixed_from_values(values: dict[str, float]) -> FixedPoint:
     )
 
 
-def values_from_fixed(fixed: FixedPoint) -> dict[str, float]:
-    """Inverse of fixed_from_values, for merging overrides."""
-    p = fixed.params
-    return {
-        "omega_a_hz": internal_to_hz(p.omega_a),
-        "omega_m1_hz": internal_to_hz(p.omega_m1),
-        "omega_m2_hz": internal_to_hz(p.omega_m2),
-        "omega_s_hz": internal_to_hz(p.omega_s),
-        "kappa_a_hz": internal_to_hz(p.kappa_a),
-        "kappa_m1_hz": internal_to_hz(p.kappa_m1),
-        "kappa_m2_hz": internal_to_hz(p.kappa_m2),
-        "g1_hz": internal_to_hz(p.g1),
-        "g2_hz": internal_to_hz(p.g2),
-        "r": fixed.drive.r,
-        "theta_rad": fixed.drive.theta,
-        "temperature_k": fixed.temperature,
-    }
-
-
 def _default_range(axis, fixed, points):
     if axis in ("delta_a", "delta_m"):
         span = 3.0 * internal_to_hz(fixed.params.kappa_a)
@@ -348,50 +340,37 @@ def _default_range(axis, fixed, points):
 
 
 def preset(name: str, points: int = DEFAULT_POINTS,
-           fixed: FixedPoint | None = None) -> SweepSpec:
+           base: dict[str, float] | None = None,
+           overrides: dict[str, float] | None = None) -> SweepSpec:
     """Named sweep configuration.
 
-    ``fixed`` supplies the ambient parameter set (built-in defaults when
-    omitted); the preset then pins the values its figure prescribes and
-    derives axis ranges from it (detuning spans of 3 kappa_a, r up to 3,
-    theta over a full period, temperature up to 0.5 K).
+    ``base`` (e.g. a configuration file) and ``overrides`` (e.g. ``--set``)
+    are configuration-key dicts.  The fixed parameter set merges, later
+    winning: built-in defaults, ``base``, the figure's pins, ``overrides``.
+    A resonant preset sets its pinned mode frequencies to the final
+    ``omega_s_hz`` unless ``overrides`` names them.  Axis ranges come from
+    the merged set: detuning spans of 3 kappa_a, r up to 3, theta over a
+    full period, temperature up to 0.5 K.
     """
     if name not in _PRESETS:
         raise ValueError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         )
     definition = _PRESETS[name]
-    if fixed is None:
-        fixed = fixed_from_values(config.merge())
-    params, drive, temp = fixed.params, fixed.drive, fixed.temperature
-    for key, value in definition.pins:
-        params, drive, temp = _apply_value(key, value, params, drive, temp)
-    pinned = FixedPoint(params, drive, temp)
+    base, overrides = base or {}, overrides or {}
+    omega_s = config.merge(base, overrides)["omega_s_hz"]
+    pins = dict(definition.pins, **dict.fromkeys(definition.resonant, omega_s))
+    fixed = fixed_from_values(config.merge(base, pins, overrides))
     axis1 = definition.axes[0]
     axis2 = definition.axes[1] if len(definition.axes) > 1 else None
-    spec = SweepSpec(
+    return SweepSpec(
         axis1=axis1,
-        range1=_default_range(axis1, pinned, points),
+        range1=_default_range(axis1, fixed, points),
         axis2=axis2,
-        range2=_default_range(axis2, pinned, points) if axis2 else None,
-        fixed=pinned,
+        range2=_default_range(axis2, fixed, points) if axis2 else None,
+        fixed=fixed,
         outputs=definition.outputs,
     )
-    if definition.single_sample:
-        spec = single_sample_mode(spec)
-    return spec
-
-
-def with_values(spec: SweepSpec, overrides: dict[str, float]) -> SweepSpec:
-    """Rebuild the spec's fixed point with configuration-key overrides."""
-    values = values_from_fixed(spec.fixed)
-    for key in overrides:
-        if key not in config.CONFIG_KEYS:
-            raise ValueError(
-                f"unknown key {key!r}; valid keys: {', '.join(config.CONFIG_KEYS)}"
-            )
-    values.update(overrides)
-    return replace(spec, fixed=fixed_from_values(values))
 
 
 def with_range(spec: SweepSpec, axis: str, lo: float, hi: float) -> SweepSpec:

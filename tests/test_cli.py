@@ -116,6 +116,40 @@ def test_config_file_precedence(tmp_path, capsys):
     assert float(values["log_negativity"]) > 0.5
 
 
+def _sweep_csv(capsys, preset, *extra):
+    assert main(["sweep", "--preset", preset, "--points", "3", *extra]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, value", [("omega_s_hz", "10.001e9"),
+                                        ("kappa_a_hz", "1e7")])
+@pytest.mark.parametrize("preset", cavmag.sweep.PRESET_NAMES)
+def test_set_and_config_file_agree(tmp_path, capsys, preset, key, value):
+    # No preset pins omega_s_hz or kappa_a_hz, so --set and a file entry
+    # must build the same parameter set: resonance follows omega_s_hz and
+    # detuning spans follow kappa_a_hz.
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n", encoding="utf-8")
+    from_file = _sweep_csv(capsys, preset, "--config", str(path))
+    from_set = _sweep_csv(capsys, preset, "--set", f"{key}={value}")
+    assert from_set == from_file
+
+
+def test_set_beats_resonance_pin(capsys):
+    resonant = _sweep_csv(capsys, "fig3")
+    detuned = _sweep_csv(capsys, "fig3", "--set", "omega_a_hz=10.005e9")
+    e_resonant = [float(line.split(",")[1]) for line in resonant.split()[1:]]
+    e_detuned = [float(line.split(",")[1]) for line in detuned.split()[1:]]
+    assert all(d < r for d, r in zip(e_detuned, e_resonant))
+
+
+def test_set_recouples_single_sample_preset(capsys):
+    single = _sweep_csv(capsys, "fig6b")
+    coupled = _sweep_csv(capsys, "fig6b", "--set", "g2_hz=20e6")
+    assert coupled != single
+    assert coupled == _sweep_csv(capsys, "fig6a")
+
+
 def test_point_numerical_failure_exit_code(monkeypatch, capsys):
     def explode(fixed):
         raise UnstableSystemError("no steady state")

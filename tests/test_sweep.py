@@ -18,8 +18,8 @@ from cavmag.sweep import (
     run_sweep,
     single_sample_mode,
     with_range,
-    with_values,
 )
+from cavmag.dynamics import StabilityReport
 
 
 def _default_fixed(**overrides):
@@ -117,11 +117,27 @@ def test_preset_unknown_name():
 
 
 def test_preset_pins_override_ambient_config_but_set_wins():
-    ambient = _default_fixed(r=1.5)
-    spec = preset("fig2b", points=5, fixed=ambient)
+    ambient = {"r": 1.5}
+    spec = preset("fig2b", points=5, base=ambient)
     assert spec.fixed.drive.r == 2.0  # figure pin beats ambient value
-    spec = with_values(spec, {"r": 0.7})
+    spec = preset("fig2b", points=5, base=ambient, overrides={"r": 0.7})
     assert spec.fixed.drive.r == 0.7  # explicit override beats the pin
+
+
+def test_preset_resonance_and_span_follow_final_values():
+    # The pinned resonance follows omega_s_hz and the detuning span follows
+    # kappa_a_hz, from whichever layer sets them; a mode frequency given as
+    # an override beats the resonance pin.
+    for layer in ("base", "overrides"):
+        spec = preset("fig3", points=3, **{layer: {"omega_s_hz": 10.001e9}})
+        params = spec.fixed.params
+        assert params.omega_s == 10001.0
+        assert params.omega_a == params.omega_m1 == params.omega_m2 == params.omega_s
+        spec = preset("fig2a", points=3, **{layer: {"kappa_a_hz": 1e7}})
+        assert spec.range1 == (-30e6, 30e6, 3)
+    spec = preset("fig3", points=3, overrides={"omega_a_hz": 10.001e9})
+    assert spec.fixed.params.omega_a == 10001.0
+    assert spec.fixed.params.omega_m1 == spec.fixed.params.omega_s == 10000.0
 
 
 def test_single_sample_mode_decouples_second_magnon():
@@ -183,10 +199,13 @@ def test_with_range_overrides_axis():
         with_range(spec, "temperature", 0.0, 1.0)
 
 
-def test_with_values_rejects_unknown_keys():
-    spec = preset("fig2b", points=5)
+def test_preset_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown key"):
-        with_values(spec, {"bogus": 1.0})
+        preset("fig2b", points=5, overrides={"bogus": 1.0})
+    with pytest.raises(ValueError, match="unknown key"):
+        preset("fig2b", points=5, base={"bogus": 1.0})
+    with pytest.raises(ValueError, match="unknown key"):
+        config.merge({"bogus": 1})
 
 
 def test_csv_format_and_determinism():
@@ -206,16 +225,22 @@ def test_csv_format_and_determinism():
     assert cells[2] == "stable"
 
 
-def test_csv_unstable_rows_have_empty_cells(monkeypatch):
+def _unstable_every(monkeypatch, period):
+    """Make every period-th grid point's stability test report unstable."""
     calls = []
 
-    def fake_evaluate(params, drive, temperature):
-        calls.append(drive.r)
-        if len(calls) % 2 == 0:
-            return False, None
-        return True, {name: 0.1 for name in sweep_mod.QUANTITIES + ("nu_minus",)}
+    def fake_stability_check(drift):
+        calls.append(drift)
+        if len(calls) % period == 0:
+            return StabilityReport(stable=False, max_real_part=1.0)
+        return StabilityReport(stable=True, max_real_part=-1.0)
 
-    monkeypatch.setattr(sweep_mod, "_evaluate_grid_point", fake_evaluate)
+    monkeypatch.setattr(sweep_mod, "stability_check", fake_stability_check)
+    return calls
+
+
+def test_csv_unstable_rows_have_empty_cells(monkeypatch):
+    _unstable_every(monkeypatch, 2)
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 4), fixed=_default_fixed(),
                      outputs=("log_negativity", "duan_sum"))
     text = format_csv(run_sweep(spec))
@@ -227,11 +252,11 @@ def test_csv_unstable_rows_have_empty_cells(monkeypatch):
 
 
 def test_all_points_unstable_still_completes(monkeypatch):
-    monkeypatch.setattr(sweep_mod, "_evaluate_grid_point",
-                        lambda *args: (False, None))
+    calls = _unstable_every(monkeypatch, 1)
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 3), fixed=_default_fixed(),
                      outputs=("log_negativity",))
     result = run_sweep(spec)
+    assert len(calls) == 3
     assert len(result.rows) == 3
     assert all(not row.stable and row.values is None for row in result.rows)
 

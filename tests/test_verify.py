@@ -28,6 +28,19 @@ def test_presets_on_one_grid_share_one_sweep(sweep_calls):
     assert all(spec.outputs == verify._VERIFY_OUTPUTS for spec in sweep_calls)
 
 
+def test_criterion_consistency_checks_each_distinct_grid_once(sweep_calls, monkeypatch):
+    checked = []
+
+    def counting_chain(text):
+        checked.append(text)
+        return []
+
+    monkeypatch.setattr(verify, "check_certification_chain", counting_chain)
+    assert verify.check_criterion_consistency().passed
+    assert len(sweep_calls) == 2  # fig2a, and fig2b shared with fig4a
+    assert len(checked) == 2
+
+
 @pytest.mark.parametrize("e_value, passed", [(0.0, False), (0.1, True)])
 def test_criterion_consistency_flags_chain_violation(monkeypatch, e_value, passed):
     # One stable row with duan_sum < 1: it must come with E > 0.
