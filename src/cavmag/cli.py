@@ -145,12 +145,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    # LinAlgError subclasses ValueError, so it must be caught first.
     except (UnstableSystemError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

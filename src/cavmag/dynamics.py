@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .model import DriveParams, Detunings, Environment, SystemParams
 
@@ -28,11 +29,17 @@ R_CONDITIONING_LIMIT = 6.0
 _PSD_TOL = 1e-12
 
 
+def _check_info(routine: str, info: int) -> None:
+    """Raise numpy.linalg.LinAlgError for a nonzero LAPACK info code."""
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
+
+
 def _frozen_array(obj, attr, value, shape):
     arr = np.array(value, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{attr} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{attr} must be finite")
     arr.setflags(write=False)
     object.__setattr__(obj, attr, arr)
@@ -60,9 +67,11 @@ class DiffusionMatrix:
 
     def __post_init__(self):
         _frozen_array(self, "d", self.d, (6, 6))
-        if not np.array_equal(self.d, self.d.T):
+        if not (self.d == self.d.T).all():
             raise ValueError("diffusion matrix must be exactly symmetric")
-        lowest = np.linalg.eigvalsh(self.d).min()
+        eigvals, _, info = lapack.dsyev(self.d, compute_v=0)
+        _check_info("dsyev", info)
+        lowest = eigvals[0]
         if lowest < -_PSD_TOL:
             raise ValueError(
                 f"diffusion matrix must be positive semidefinite "
@@ -139,8 +148,15 @@ def stability_check(a: DriftMatrix | np.ndarray) -> StabilityReport:
     """Asymptotic stability of the drift: every eigenvalue real part must
     lie below -STABILITY_EPS.
 
-    Eigenvalue iteration failures propagate as numpy.linalg.LinAlgError;
-    the check never reports "stable" without a converged spectrum.
+    The spectrum comes from LAPACK dgeev (eigenvalues only).  A non-square
+    or non-finite drift, or a failed eigenvalue iteration, raises
+    numpy.linalg.LinAlgError; the check never reports "stable" without a
+    converged spectrum.
     """
-    max_real = float(np.linalg.eigvals(_drift_array(a)).real.max())
+    arr = _drift_array(a)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all():
+        raise np.linalg.LinAlgError("drift matrix must be square and finite")
+    wr, _, _, _, info = lapack.dgeev(arr, compute_vl=0, compute_vr=0)
+    _check_info("dgeev", info)
+    max_real = float(wr.max())
     return StabilityReport(stable=max_real < -STABILITY_EPS, max_real_part=max_real)

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
+from .dynamics import _check_info
 from .steadystate import CovarianceMatrix, _Covariance, symplectic_form
 from .steadystate import symplectic_eigenvalues  # noqa: F401  (re-exported)
 
@@ -29,8 +31,12 @@ MANCINI_BOUND = 0.25
 # Relative imaginary residue tolerated in the partial-transpose spectrum.
 _EIG_IMAG_RTOL = 1e-9
 
-# Partial transposition of the second mode: y2 -> -y2.
-_PARTIAL_TRANSPOSE = np.diag([1.0, 1.0, 1.0, -1.0])
+# Partial transposition of the second mode, y2 -> -y2, as the elementwise
+# sign mask of P V P with P = diag(1, 1, 1, -1).
+_PT_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+
+# i Omega for the two-mode symplectic form.
+_I_OMEGA = 1j * symplectic_form(2)
 
 
 @dataclass(frozen=True)
@@ -85,10 +91,15 @@ def log_negativity(two_mode: TwoModeCM) -> EntanglementResult:
     i Omega P V P, with P = diag(1, 1, 1, -1) the partial transposition of
     the second mode.  The eigenvalues come in +/- pairs that are real for
     physical input; an imaginary residue above 1e-9 (relative) signals an
-    unphysical covariance matrix and raises ArithmeticError.
+    unphysical covariance matrix and raises ArithmeticError.  The spectrum
+    comes from LAPACK zgeev; a failure there raises
+    numpy.linalg.LinAlgError.
     """
-    v_pt = _PARTIAL_TRANSPOSE @ two_mode.v @ _PARTIAL_TRANSPOSE
-    eigvals = np.linalg.eigvals(1j * symplectic_form(2) @ v_pt)
+    m = _I_OMEGA @ (two_mode.v * _PT_SIGNS)
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("partial-transpose matrix must be finite")
+    eigvals, _, _, info = lapack.zgeev(m, compute_vl=0, compute_vr=0)
+    _check_info("zgeev", info)
     scale = max(float(np.abs(eigvals).max()), 1.0)
     imag_residue = float(np.abs(eigvals.imag).max())
     if imag_residue > _EIG_IMAG_RTOL * scale:

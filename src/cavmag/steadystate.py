@@ -1,9 +1,11 @@
 """Steady-state and transient covariance of the quadrature dynamics.
 
 The stationary covariance matrix V solves A V + V A^T = -D.  Two
-independent backends are provided: a Schur-decomposition solve from scipy
-and a dense 36x36 vectorized solve.  They cross-validate each other in the
-test suite; both enforce the same residual bound on every result.
+independent backends are provided: a Bartels-Stewart solve that calls
+LAPACK dgees (real Schur form) and dtrsyl (triangular Sylvester solve)
+directly, and a dense 36x36 vectorized solve.  They cross-validate each
+other in the test suite; both enforce the same residual bound on every
+result.  A LAPACK failure raises numpy.linalg.LinAlgError.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
-from .dynamics import DiffusionMatrix, _drift_array, stability_check
+from .dynamics import DiffusionMatrix, _check_info, _drift_array, stability_check
 
 # Max-norm residual of A V + V A^T + D, relative to the max-norm of D.
 RESIDUAL_RTOL = 1e-10
@@ -70,7 +72,7 @@ class _Covariance:
         n, name = self._DIM, self._NAME
         if arr.shape != (n, n):
             raise ValueError(f"{name} must be {n}x{n}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite")
         scale = max(float(np.abs(arr).max()), 1.0)
         asymmetry = float(np.abs(arr - arr.T).max())
@@ -79,7 +81,7 @@ class _Covariance:
                 f"{name} asymmetric: max |v - v.T| = {asymmetry:.3e}"
             )
         arr = 0.5 * (arr + arr.T)
-        if np.any(np.diag(arr) <= 0.0):
+        if (arr.diagonal() <= 0.0).any():
             raise ValueError(f"{name} diagonal entries must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "v", arr)
@@ -118,18 +120,34 @@ def _check_residual(a: np.ndarray, d: np.ndarray, v: np.ndarray, solver: str) ->
         )
 
 
-def solve_lyapunov(a, d) -> CovarianceMatrix:
-    """Steady-state covariance via the Schur-based dense solver.
+def _no_sort(wr, wi):
+    """dgees takes an eigenvalue-select callback; unsorted, it is never called."""
+    return None
 
+
+def solve_lyapunov(a, d) -> CovarianceMatrix:
+    """Steady-state covariance via the Bartels-Stewart algorithm.
+
+    A = U T U^T (dgees), then T Y + Y T^T = U^T (-D) U (dtrsyl) and
+    V = U Y U^T: the sequence of scipy.linalg.solve_continuous_lyapunov.
     Requires an asymptotically stable drift (raises UnstableSystemError
-    otherwise).  The result is explicitly symmetrized and satisfies
-    max|A V + V A^T + D| <= 1e-10 max|D|; a violation raises
+    otherwise) and a finite diffusion (ValueError); a LAPACK failure
+    raises numpy.linalg.LinAlgError.  The result is explicitly symmetrized
+    and satisfies max|A V + V A^T + D| <= 1e-10 max|D|; a violation raises
     ArithmeticError with diagnostics instead of returning a bad matrix.
     """
     a_arr = _drift_array(a)
     d_arr = _diffusion_array(d)
     _require_stable(a_arr)
-    v = scipy.linalg.solve_continuous_lyapunov(a_arr, -d_arr)
+    # stability_check has rejected a non-finite drift already.
+    if not np.isfinite(d_arr).all():
+        raise ValueError("diffusion matrix must be finite")
+    t, _, _, _, u, _, info = lapack.dgees(_no_sort, a_arr)
+    _check_info("dgees", info)
+    y, scale, info = lapack.dtrsyl(t, t, u.T.dot((-d_arr).dot(u)), tranb="T")
+    _check_info("dtrsyl", info)
+    y *= scale
+    v = u.dot(y).dot(u.T)
     v = 0.5 * (v + v.T)
     _check_residual(a_arr, d_arr, v, "solve_lyapunov")
     return CovarianceMatrix(v)

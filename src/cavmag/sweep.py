@@ -64,6 +64,15 @@ _AXIS_COLUMNS = {
     "temperature": "temperature_k",
 }
 
+# Configuration keys an axis overwrites at every grid point.
+_AXIS_KEYS = {
+    "delta_a": ("omega_a_hz",),
+    "delta_m": ("omega_m1_hz", "omega_m2_hz"),
+    "r": ("r",),
+    "theta": ("theta_rad",),
+    "temperature": ("temperature_k",),
+}
+
 DEFAULT_POINTS = 101
 
 
@@ -351,6 +360,10 @@ def preset(name: str, points: int = DEFAULT_POINTS,
     ``omega_s_hz`` unless ``overrides`` names them.  Axis ranges come from
     the merged set: detuning spans of 3 kappa_a, r up to 3, theta over a
     full period, temperature up to 0.5 K.
+
+    ``overrides`` must not name a key that a swept axis overwrites at every
+    grid point (ValueError); ``base`` may, since a full configuration sets
+    every key, and the axis replaces it.
     """
     if name not in _PRESETS:
         raise ValueError(
@@ -358,6 +371,14 @@ def preset(name: str, points: int = DEFAULT_POINTS,
         )
     definition = _PRESETS[name]
     base, overrides = base or {}, overrides or {}
+    for axis in definition.axes:
+        for key in _AXIS_KEYS[axis]:
+            if key in overrides:
+                raise ValueError(
+                    f"{key!r} cannot be overridden: preset {name!r} sweeps "
+                    f"axis {axis!r}, which sets it at every grid point; "
+                    f"use --range {axis}=MIN:MAX instead"
+                )
     omega_s = config.merge(base, overrides)["omega_s_hz"]
     pins = dict(definition.pins, **dict.fromkeys(definition.resonant, omega_s))
     fixed = fixed_from_values(config.merge(base, pins, overrides))

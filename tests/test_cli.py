@@ -150,6 +150,28 @@ def test_set_recouples_single_sample_preset(capsys):
     assert coupled == _sweep_csv(capsys, "fig6a")
 
 
+@pytest.mark.parametrize("preset, sets", [
+    ("fig5b", ("theta_rad=1", "r=0.5")),
+    ("fig3", ("temperature_k=0.3",)),
+    ("fig2b", ("omega_a_hz=10.001e9", "omega_m1_hz=9.99e9")),
+])
+def test_set_on_a_swept_key_is_usage_error(capsys, preset, sets):
+    args = ["sweep", "--preset", preset, "--points", "3"]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and "--range" in captured.err
+    assert any(f"'{item.split('=')[0]}'" in captured.err for item in sets)
+
+
+def test_config_file_may_set_swept_keys(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("r = 0.5\ntheta_rad = 1\n", encoding="utf-8")
+    assert _sweep_csv(capsys, "fig5b", "--config", str(path)) == _sweep_csv(capsys, "fig5b")
+
+
 def test_point_numerical_failure_exit_code(monkeypatch, capsys):
     def explode(fixed):
         raise UnstableSystemError("no steady state")

@@ -208,6 +208,31 @@ def test_preset_rejects_unknown_keys():
         config.merge({"bogus": 1})
 
 
+@pytest.mark.parametrize("name, key", [
+    ("fig2b", "omega_a_hz"),
+    ("fig2b", "omega_m1_hz"),
+    ("fig2b", "omega_m2_hz"),
+    ("fig5b", "r"),
+    ("fig5b", "theta_rad"),
+    ("fig3", "temperature_k"),
+])
+def test_preset_rejects_overrides_of_swept_keys(name, key):
+    # The axis overwrites the key at every grid point, so an override
+    # would be silently ignored.
+    with pytest.raises(ValueError, match=f"'{key}'.*--range"):
+        preset(name, points=3, overrides={key: 0.5})
+
+
+def test_preset_accepts_swept_keys_from_base():
+    # A full configuration file sets every key; the axes replace them.
+    base = {"r": 0.5, "theta_rad": 1.0, "temperature_k": 0.3}
+    assert (format_csv(run_sweep(preset("fig5b", points=3, base=base)))
+            == format_csv(run_sweep(preset("fig5b", points=3))))
+    base = {"omega_a_hz": 10.001e9, "omega_m1_hz": 9.99e9, "omega_m2_hz": 9.99e9}
+    assert (format_csv(run_sweep(preset("fig2b", points=3, base=base)))
+            == format_csv(run_sweep(preset("fig2b", points=3))))
+
+
 def test_csv_format_and_determinism():
     spec = preset("fig3", points=7)
     first = format_csv(run_sweep(spec))
