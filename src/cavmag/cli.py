@@ -22,19 +22,6 @@ from . import sweep as sweep_mod
 from . import verify as verify_mod
 from .steadystate import UnstableSystemError
 
-_POINT_FIELDS = (
-    "log_negativity",
-    "nu_minus",
-    "duan_sum",
-    "mancini_product",
-    "var_x1",
-    "var_Mx",
-    "var_my",
-    "squeezing_db_x1",
-    "squeezing_db_Mx",
-)
-
-
 class _UsageError(Exception):
     pass
 
@@ -129,8 +116,8 @@ def _cmd_point(args) -> int:
     if not stable:
         raise UnstableSystemError("no steady state at this operating point")
     print("stability = stable")
-    for name in _POINT_FIELDS:
-        print(f"{name} = {quantities[name]:.17g}")
+    for name, value in quantities.items():
+        print(f"{name} = {value:.17g}")
     return 0
 
 

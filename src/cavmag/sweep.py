@@ -5,18 +5,20 @@ stability -> steady state -> measures) on a 1D or 2D grid and renders the
 result as deterministic CSV text.  Named presets reproduce the standard
 figure grids; every range and fixed value can be overridden.
 
-Axis identifiers and their units:
+Axis identifiers, their CSV columns and units (``_AXES`` defines each axis):
 
-    delta_a       cavity detuning from the drive, as nu = delta/2pi in Hz
-    delta_m       common magnon detuning (both modes tied), same unit
-    r             drive squeezing parameter
-    theta         drive squeezing phase in rad
-    temperature   bath temperature in K
+    delta_a      delta_a_hz     cavity detuning from the drive, as nu = delta/2pi in Hz
+    delta_m      delta_m_hz     common magnon detuning (both modes tied), same unit
+    r            r              drive squeezing parameter
+    theta        theta_rad      drive squeezing phase in rad
+    temperature  temperature_k  bath temperature in K
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -43,8 +45,6 @@ from .model import (
 )
 from .steadystate import solve_lyapunov
 
-AXES = ("delta_a", "delta_m", "r", "theta", "temperature")
-
 QUANTITIES = (
     "log_negativity",
     "duan_sum",
@@ -56,33 +56,71 @@ QUANTITIES = (
     "squeezing_db_Mx",
 )
 
-_AXIS_COLUMNS = {
-    "delta_a": "delta_a_hz",
-    "delta_m": "delta_m_hz",
-    "r": "r",
-    "theta": "theta_rad",
-    "temperature": "temperature_k",
-}
-
-# Configuration keys an axis overwrites at every grid point.
-_AXIS_KEYS = {
-    "delta_a": ("omega_a_hz",),
-    "delta_m": ("omega_m1_hz", "omega_m2_hz"),
-    "r": ("r",),
-    "theta": ("theta_rad",),
-    "temperature": ("temperature_k",),
-}
-
 DEFAULT_POINTS = 101
 
 
 @dataclass(frozen=True)
 class FixedPoint:
-    """Complete parameter set supplying every value a sweep does not vary."""
+    """One operating point: system parameters, drive and bath temperature."""
 
     params: SystemParams
     drive: DriveParams
     temperature: float
+
+
+@dataclass(frozen=True)
+class Axis:
+    """Everything that defines one sweep axis."""
+
+    column: str                # CSV column heading
+    keys: tuple[str, ...]      # configuration keys it sets at every grid point
+    apply: Callable[[FixedPoint, float], FixedPoint]  # (point, value) -> point
+    preset_range: Callable[[FixedPoint, int], tuple]  # (point, n) -> (min, max, n)
+    nonnegative: bool = False  # range minimum must be >= 0
+
+
+# Appliers run once per grid point, so they build each FixedPoint directly.
+
+def _detune_cavity(p, nu):
+    params = replace(p.params, omega_a=p.params.omega_s + hz_to_internal(nu))
+    return FixedPoint(params, p.drive, p.temperature)
+
+
+def _detune_magnons(p, nu):
+    omega = p.params.omega_s + hz_to_internal(nu)
+    params = replace(p.params, omega_m1=omega, omega_m2=omega)
+    return FixedPoint(params, p.drive, p.temperature)
+
+
+def _detuning_range(p, n):
+    span = 3.0 * internal_to_hz(p.params.kappa_a)  # +/- 3 kappa_a as nu in Hz
+    return (-span, span, n)
+
+
+_AXES = {
+    "delta_a": Axis("delta_a_hz", ("omega_a_hz",), _detune_cavity, _detuning_range),
+    "delta_m": Axis("delta_m_hz", ("omega_m1_hz", "omega_m2_hz"), _detune_magnons,
+                    _detuning_range),
+    "r": Axis("r", ("r",),
+              lambda p, r: FixedPoint(p.params, replace(p.drive, r=r), p.temperature),
+              lambda p, n: (0.0, 3.0, n), nonnegative=True),
+    "theta": Axis("theta_rad", ("theta_rad",),
+                  lambda p, theta: FixedPoint(p.params, replace(p.drive, theta=theta),
+                                              p.temperature),
+                  lambda p, n: (0.0, TWO_PI * (n - 1) / n, n)),
+    "temperature": Axis("temperature_k", ("temperature_k",),
+                        lambda p, t: FixedPoint(p.params, p.drive, t),
+                        lambda p, n: (0.0, 0.5, n), nonnegative=True),
+}
+
+AXES = tuple(_AXES)
+
+
+def get_axis(name: str) -> Axis:
+    """The definition of one axis; ValueError for an unknown name."""
+    if name not in _AXES:
+        raise ValueError(f"unknown axis {name!r}; valid axes: {', '.join(AXES)}")
+    return _AXES[name]
 
 
 @dataclass(frozen=True)
@@ -98,10 +136,8 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        _check_axis(self.axis1)
         _check_range(self.axis1, self.range1)
         if self.axis2 is not None:
-            _check_axis(self.axis2)
             if self.axis2 == self.axis1:
                 raise ValueError(f"axis1 and axis2 are both {self.axis1!r}")
             if self.range2 is None:
@@ -145,73 +181,45 @@ class SweepResult:
         return [row.values[index] if row.stable else None for row in self.rows]
 
 
-def _check_axis(name):
-    if name not in AXES:
-        raise ValueError(f"unknown axis {name!r}; valid axes: {', '.join(AXES)}")
-
-
 def _check_range(axis, rng):
+    definition = get_axis(axis)
     lo, hi, count = rng
     if int(count) != count or count < 2:
         raise ValueError(f"{axis}: grid needs at least 2 points, got {count}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{axis}: range bounds must be finite, got {lo} and {hi}")
     if not lo < hi:
         raise ValueError(f"{axis}: range min {lo} must be below max {hi}")
-    if axis in ("r", "temperature") and lo < 0.0:
+    if definition.nonnegative and lo < 0.0:
         raise ValueError(f"{axis}: range min must be nonnegative, got {lo}")
 
 
-def _apply_value(name, value, params, drive, temperature):
-    """Route one axis value into the parameter set."""
-    if name == "delta_a":
-        params = replace(params, omega_a=params.omega_s + hz_to_internal(value))
-    elif name == "delta_m":
-        omega = params.omega_s + hz_to_internal(value)
-        params = replace(params, omega_m1=omega, omega_m2=omega)
-    elif name == "r":
-        drive = replace(drive, r=value)
-    elif name == "theta":
-        drive = replace(drive, theta=value)
-    elif name == "temperature":
-        temperature = value
-    else:
-        _check_axis(name)
-    return params, drive, temperature
+def evaluate_point(point: FixedPoint):
+    """Evaluate all quantities at one operating point.
 
-
-def _point_quantities(cm) -> dict[str, float]:
-    ent = log_negativity(reduce_to_magnons(cm))
-    cv = collective_variances(cm)
-    return {
-        "log_negativity": ent.log_negativity,
-        "duan_sum": duan_sum(cm),
-        "mancini_product": mancini_product(cm),
-        "var_x1": float(cm.v[2, 2]),
-        "var_Mx": cv.var_Mx,
-        "var_my": cv.var_my,
-        "squeezing_db_x1": squeezing_db(float(cm.v[2, 2])),
-        "squeezing_db_Mx": squeezing_db(cv.var_Mx),
-        "nu_minus": ent.nu_minus,
-    }
-
-
-def _evaluate_grid_point(params, drive, temperature):
-    """Full pipeline at one grid point; (False, None) when unstable."""
+    Returns (stable, quantities): a dict in the order ``cavmag point``
+    prints it, or None when no steady state exists.
+    """
+    params = point.params
     drift = build_drift(detunings_from(params), params)
     if not stability_check(drift).stable:
         return False, None
-    env = Environment.from_temperature(temperature, params)
-    diffusion = build_diffusion(params, drive, env)
-    cm = solve_lyapunov(drift, diffusion)
-    return True, _point_quantities(cm)
-
-
-def evaluate_point(fixed: FixedPoint):
-    """Evaluate all quantities at a single operating point.
-
-    Returns (stable, quantities); quantities is None when no steady state
-    exists.
-    """
-    return _evaluate_grid_point(fixed.params, fixed.drive, fixed.temperature)
+    env = Environment.from_temperature(point.temperature, params)
+    cm = solve_lyapunov(drift, build_diffusion(params, point.drive, env))
+    ent = log_negativity(reduce_to_magnons(cm))
+    cv = collective_variances(cm)
+    var_x1 = float(cm.v[2, 2])
+    return True, {
+        "log_negativity": ent.log_negativity,
+        "nu_minus": ent.nu_minus,
+        "duan_sum": duan_sum(cm),
+        "mancini_product": mancini_product(cm),
+        "var_x1": var_x1,
+        "var_Mx": cv.var_Mx,
+        "var_my": cv.var_my,
+        "squeezing_db_x1": squeezing_db(var_x1),
+        "squeezing_db_Mx": squeezing_db(cv.var_Mx),
+    }
 
 
 def _axis_values(rng) -> list[float]:
@@ -220,18 +228,29 @@ def _axis_values(rng) -> list[float]:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid, axis1-major then axis2, deterministically."""
-    grid1 = _axis_values(spec.range1)
-    grid2 = _axis_values(spec.range2) if spec.axis2 is not None else [None]
+    """Evaluate the grid, axis1-major then axis2, deterministically.
+
+    An exception raised while a grid point is applied or evaluated
+    propagates with its message prefixed by the point's coordinates.
+    """
+    axis1, axis2 = _AXES[spec.axis1], _AXES.get(spec.axis2)
+    grid2 = _axis_values(spec.range2) if axis2 else [None]
     rows = []
-    for v1 in grid1:
-        base = _apply_value(spec.axis1, v1, spec.fixed.params, spec.fixed.drive,
-                            spec.fixed.temperature)
-        for v2 in grid2:
-            point = base if v2 is None else _apply_value(spec.axis2, v2, *base)
-            stable, quantities = _evaluate_grid_point(*point)
-            values = tuple(quantities[n] for n in spec.outputs) if stable else None
-            rows.append(GridRow(v1, v2, stable, values))
+    for v1 in _axis_values(spec.range1):
+        v2 = None
+        try:
+            base = axis1.apply(spec.fixed, v1)
+            for v2 in grid2:
+                point = base if axis2 is None else axis2.apply(base, v2)
+                stable, quantities = evaluate_point(point)
+                values = tuple([quantities[n] for n in spec.outputs]) if stable else None
+                rows.append(GridRow(v1, v2, stable, values))
+        except Exception as exc:
+            where = ", ".join(f"{axis.column} = {_fmt(v)}"
+                              for axis, v in ((axis1, v1), (axis2, v2)) if v is not None)
+            # The same object is re-raised, so its class and traceback are kept.
+            exc.args = (f"{where}: {exc}",)
+            raise
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
@@ -337,17 +356,6 @@ def fixed_from_values(values: dict[str, float]) -> FixedPoint:
     )
 
 
-def _default_range(axis, fixed, points):
-    if axis in ("delta_a", "delta_m"):
-        span = 3.0 * internal_to_hz(fixed.params.kappa_a)
-        return (-span, span, points)
-    if axis == "r":
-        return (0.0, 3.0, points)
-    if axis == "theta":
-        return (0.0, TWO_PI * (points - 1) / points, points)
-    return (0.0, 0.5, points)  # temperature
-
-
 def preset(name: str, points: int = DEFAULT_POINTS,
            base: dict[str, float] | None = None,
            overrides: dict[str, float] | None = None) -> SweepSpec:
@@ -372,7 +380,7 @@ def preset(name: str, points: int = DEFAULT_POINTS,
     definition = _PRESETS[name]
     base, overrides = base or {}, overrides or {}
     for axis in definition.axes:
-        for key in _AXIS_KEYS[axis]:
+        for key in _AXES[axis].keys:
             if key in overrides:
                 raise ValueError(
                     f"{key!r} cannot be overridden: preset {name!r} sweeps "
@@ -386,9 +394,9 @@ def preset(name: str, points: int = DEFAULT_POINTS,
     axis2 = definition.axes[1] if len(definition.axes) > 1 else None
     return SweepSpec(
         axis1=axis1,
-        range1=_default_range(axis1, fixed, points),
+        range1=_AXES[axis1].preset_range(fixed, points),
         axis2=axis2,
-        range2=_default_range(axis2, fixed, points) if axis2 else None,
+        range2=_AXES[axis2].preset_range(fixed, points) if axis2 else None,
         fixed=fixed,
         outputs=definition.outputs,
     )
@@ -416,9 +424,7 @@ def format_csv(result: SweepResult) -> str:
     stability flag.  17 significant digits, '.' decimal separator, unix
     line endings; unstable rows leave the quantity cells empty."""
     spec = result.spec
-    header = [_AXIS_COLUMNS[spec.axis1]]
-    if spec.axis2 is not None:
-        header.append(_AXIS_COLUMNS[spec.axis2])
+    header = [_AXES[axis].column for axis in (spec.axis1, spec.axis2) if axis is not None]
     header += list(spec.outputs) + ["stability"]
     lines = [",".join(header)]
     for row in result.rows:

@@ -27,7 +27,8 @@ from .measures import (
     squeezing_db,
 )
 from .model import DriveParams, Environment, default_params, detunings_from
-from .sweep import _apply_value, check_certification_chain, format_csv, preset, run_sweep
+from .sweep import (FixedPoint, check_certification_chain, format_csv, get_axis,
+                    preset, run_sweep)
 from .steadystate import propagate_covariance, solve_lyapunov, solve_lyapunov_kron
 
 _RANDOM_SEED = 20250810
@@ -54,14 +55,20 @@ def _result(number, name, passed, detail) -> CriterionResult:
     return CriterionResult(number=number, name=name, passed=bool(passed), detail=detail)
 
 
-def _steady_state(r=2.0, theta=0.0, temperature=0.02, g2_scale=1.0):
-    """Steady-state covariance at the reference point, with optional tweaks."""
+def _reference(r=2.0, theta=0.0, temperature=0.02, g2_scale=1.0) -> FixedPoint:
+    """The reference operating point, with optional tweaks."""
     params, _ = default_params()
     if g2_scale != 1.0:
         params = replace(params, g2=g2_scale * params.g2)
-    env = Environment.from_temperature(temperature, params)
+    return FixedPoint(params, DriveParams(r=r, theta=theta), temperature)
+
+
+def _steady_state(point: FixedPoint):
+    """Drift, diffusion and steady-state covariance at one operating point."""
+    params = point.params
+    env = Environment.from_temperature(point.temperature, params)
     drift = build_drift(detunings_from(params), params)
-    diffusion = build_diffusion(params, DriveParams(r=r, theta=theta), env)
+    diffusion = build_diffusion(params, point.drive, env)
     return drift, diffusion, solve_lyapunov(drift, diffusion)
 
 
@@ -85,7 +92,7 @@ def _preset_sweep(name: str):
 
 def check_magnon_squeezing() -> CriterionResult:
     """Single-magnon quadrature squeezing of 2.27 dB, within 0.05 dB."""
-    _, _, cm = _steady_state()
+    _, _, cm = _steady_state(_reference())
     value = squeezing_db(float(cm.v[2, 2]))
     return _result(
         1, "magnon squeezing 2.27 dB",
@@ -96,7 +103,7 @@ def check_magnon_squeezing() -> CriterionResult:
 
 def check_collective_squeezing() -> CriterionResult:
     """Collective-quadrature squeezing of 7.28 dB, within 0.05 dB."""
-    _, _, cm = _steady_state()
+    _, _, cm = _steady_state(_reference())
     value = squeezing_db(collective_variances(cm).var_Mx)
     return _result(
         2, "collective squeezing 7.28 dB",
@@ -118,8 +125,8 @@ def check_input_squeezing() -> CriterionResult:
 def check_dark_mode_variance() -> CriterionResult:
     """The decoupled collective mode keeps var_my = 1/2: within 1e-6 at
     20 mK and within 1e-10 at exactly zero temperature."""
-    _, _, cm_cold = _steady_state(temperature=0.02)
-    _, _, cm_zero = _steady_state(temperature=0.0)
+    _, _, cm_cold = _steady_state(_reference(temperature=0.02))
+    _, _, cm_zero = _steady_state(_reference(temperature=0.0))
     dev_cold = abs(collective_variances(cm_cold).var_my - 0.5)
     dev_zero = abs(collective_variances(cm_zero).var_my - 0.5)
     return _result(
@@ -150,8 +157,8 @@ def check_resonance_optimality() -> CriterionResult:
 
 def check_squeezing_monotonicity() -> CriterionResult:
     """Resonant entanglement grows with the drive: E(r=2) > E(r=1) > 0."""
-    _, _, cm1 = _steady_state(r=1.0)
-    _, _, cm2 = _steady_state(r=2.0)
+    _, _, cm1 = _steady_state(_reference(r=1.0))
+    _, _, cm2 = _steady_state(_reference(r=2.0))
     e1, e2 = _entanglement(cm1), _entanglement(cm2)
     return _result(
         6, "entanglement grows with r",
@@ -184,7 +191,7 @@ def check_criterion_consistency() -> CriterionResult:
     failures = []
     for result in results.values():
         failures += check_certification_chain(format_csv(result))
-    _, _, cm = _steady_state()
+    _, _, cm = _steady_state(_reference())
     duan_res, mancini_res = duan_sum(cm), mancini_product(cm)
     resonant_ok = duan_res < DUAN_BOUND and mancini_res < MANCINI_BOUND
     return _result(
@@ -207,7 +214,7 @@ def check_solver_agreement() -> CriterionResult:
     residual bound 1e-10 * max|D| on 20 seeded random stable systems plus
     the reference point."""
     rng = np.random.default_rng(_RANDOM_SEED)
-    drift, diffusion, _ = _steady_state()
+    drift, diffusion, _ = _steady_state(_reference())
     pairs = [(drift.a, diffusion.d)]
     pairs += [_random_stable_pair(rng) for _ in range(20)]
     worst_gap = 0.0
@@ -232,7 +239,7 @@ def check_transient_consistency() -> CriterionResult:
     """RK4 propagation from vacuum over t = 50/kappa_m reaches the
     steady state within 1e-6 entrywise."""
     params, _ = default_params()
-    drift, diffusion, steady = _steady_state()
+    drift, diffusion, steady = _steady_state(_reference())
     t_final = 50.0 / params.kappa_m1
     dt = 0.1 / (np.linalg.norm(drift.a, 2) * 1.25)
     propagated = propagate_covariance(drift, diffusion, 0.5 * np.eye(6), t_final, dt)
@@ -247,22 +254,15 @@ def check_transient_consistency() -> CriterionResult:
 def check_physicality_null_cases() -> CriterionResult:
     """Unsqueezed input never entangles: on a 5 x 5 x 3 grid of detunings
     and temperatures at r = 0, every state is physical and E = 0."""
-    params0, _ = default_params()
-    span = 3.0 * params0.kappa_a * 1.0e6  # +/- 3 kappa_a as nu in Hz
+    delta_a, delta_m = get_axis("delta_a"), get_axis("delta_m")
     worst_nu_defect = 0.0
     worst_e = 0.0
-    for delta_a in np.linspace(-span, span, 5):
-        for delta_m in np.linspace(-span, span, 5):
-            for temperature in (0.0, 0.1, 0.3):
-                params, drive, temp = params0, DriveParams(r=0.0), temperature
-                params, drive, temp = _apply_value(
-                    "delta_a", float(delta_a), params, drive, temp)
-                params, drive, temp = _apply_value(
-                    "delta_m", float(delta_m), params, drive, temp)
-                env = Environment.from_temperature(temp, params)
-                drift = build_drift(detunings_from(params), params)
-                diffusion = build_diffusion(params, drive, env)
-                cm = solve_lyapunov(drift, diffusion)
+    for temperature in (0.0, 0.1, 0.3):
+        reference = _reference(r=0.0, temperature=temperature)
+        for nu_a in np.linspace(*delta_a.preset_range(reference, 5)).tolist():
+            for nu_m in np.linspace(*delta_m.preset_range(reference, 5)).tolist():
+                point = delta_m.apply(delta_a.apply(reference, nu_a), nu_m)
+                _, _, cm = _steady_state(point)
                 nu_min = float(cm.symplectic_eigenvalues().min())
                 worst_nu_defect = max(worst_nu_defect, 0.5 - nu_min)
                 worst_e = max(worst_e, _entanglement(cm))
@@ -278,7 +278,7 @@ def check_phase_invariance() -> CriterionResult:
     """The drive phase rotates quadratures locally: E is theta-independent
     to 1e-9, while var_x1 on the fig5b grid does vary along theta."""
     e_values = [
-        _entanglement(_steady_state(theta=theta)[2])
+        _entanglement(_steady_state(_reference(theta=theta))[2])
         for theta in (0.0, math.pi / 4, math.pi / 2, math.pi)
     ]
     e_spread = max(e_values) - min(e_values)
@@ -299,8 +299,8 @@ def check_phase_invariance() -> CriterionResult:
 
 def check_unequal_coupling() -> CriterionResult:
     """Unequal couplings degrade the resonant entanglement."""
-    _, _, cm_equal = _steady_state()
-    _, _, cm_unequal = _steady_state(g2_scale=0.5)
+    _, _, cm_equal = _steady_state(_reference())
+    _, _, cm_unequal = _steady_state(_reference(g2_scale=0.5))
     e_equal, e_unequal = _entanglement(cm_equal), _entanglement(cm_unequal)
     return _result(
         13, "unequal-coupling degradation",

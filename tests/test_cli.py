@@ -10,11 +10,11 @@ from cavmag.verify import CriterionResult, VerificationReport
 def test_point_prints_all_measures(capsys):
     assert main(["point"]) == 0
     out = capsys.readouterr().out
-    assert "stability = stable" in out
-    for name in ("log_negativity", "nu_minus", "duan_sum", "mancini_product",
-                 "var_x1", "var_Mx", "var_my", "squeezing_db_x1",
-                 "squeezing_db_Mx"):
-        assert f"{name} = " in out
+    names = [line.split(" = ")[0] for line in out.strip().split("\n")]
+    assert names == ["stability", "log_negativity", "nu_minus", "duan_sum",
+                     "mancini_product", "var_x1", "var_Mx", "var_my",
+                     "squeezing_db_x1", "squeezing_db_Mx"]
+    assert "stability = stable\n" in out
     values = dict(line.split(" = ") for line in out.strip().split("\n"))
     assert float(values["log_negativity"]) == pytest.approx(0.8383, abs=1e-3)
     assert float(values["var_my"]) == pytest.approx(0.5, abs=1e-8)
@@ -170,6 +170,40 @@ def test_config_file_may_set_swept_keys(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("r = 0.5\ntheta_rad = 1\n", encoding="utf-8")
     assert _sweep_csv(capsys, "fig5b", "--config", str(path)) == _sweep_csv(capsys, "fig5b")
+
+
+@pytest.mark.parametrize("preset, bounds", [
+    ("fig3", "temperature=0:inf"),
+    ("fig2b", "delta_a=nan:0"),
+    ("fig2b", "delta_m=-inf:0"),
+])
+def test_non_finite_range_names_the_axis(capsys, preset, bounds):
+    args = ["sweep", "--preset", preset, "--points", "3", "--range", bounds]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    axis = bounds.split("=")[0]
+    assert f"usage error: {axis}: range bounds must be finite" in captured.err
+
+
+def test_failing_grid_point_is_named_with_unchanged_exit_code(monkeypatch, capsys):
+    # Usage error: the magnon detuning makes omega_m1 negative.
+    assert main(["sweep", "--preset", "fig2b", "--points", "3",
+                 "--range", "delta_m=-2e10:0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "usage error: delta_a_hz = -15000000, delta_m_hz = -20000000000: omega_m1")
+
+    def explode(drift, diffusion):
+        raise ArithmeticError("residual exceeds bound")
+
+    monkeypatch.setattr(cavmag.sweep, "solve_lyapunov", explode)
+    assert main(["sweep", "--preset", "fig3", "--points", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: temperature_k = 0: "
+                            "residual exceeds bound\n")
 
 
 def test_point_numerical_failure_exit_code(monkeypatch, capsys):

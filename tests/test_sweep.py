@@ -45,6 +45,74 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         SweepSpec(axis1="temperature", range1=(-0.1, 0.5, 3), fixed=fixed,
                   outputs=("log_negativity",))
+    for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="^r: range bounds must be finite"):
+            SweepSpec(axis1="r", range1=(lo, hi, 3), fixed=fixed,
+                      outputs=("log_negativity",))
+        with pytest.raises(ValueError, match="^temperature: range bounds must be finite"):
+            SweepSpec(axis1="r", range1=(0, 1, 3), axis2="temperature",
+                      range2=(lo, hi, 3), fixed=fixed, outputs=("log_negativity",))
+
+
+# One value per axis, away from the default configuration.
+_PROBES = {"delta_a": 1.3e6, "delta_m": -2.1e6, "r": 0.7, "theta": 0.9,
+           "temperature": 0.13}
+
+
+def _by_config_key(point):
+    """A FixedPoint's values keyed by the configuration key that sets each."""
+    values = {f"{name}_hz": value for name, value in vars(point.params).items()}
+    values.update(r=point.drive.r, theta_rad=point.drive.theta,
+                  temperature_k=point.temperature)
+    return values
+
+
+@pytest.mark.parametrize("axis", sweep_mod.AXES)
+def test_axis_keys_match_what_it_applies(axis):
+    # Applying an axis value must equal setting exactly the axis's
+    # configuration keys: a detuning sets its mode frequencies to
+    # omega_s_hz + value.
+    definition = sweep_mod.get_axis(axis)
+    value = _PROBES[axis]
+    applied = definition.apply(fixed_from_values(config.DEFAULTS), value)
+    if definition.column.endswith("_hz"):
+        value += config.DEFAULTS["omega_s_hz"]
+    expected = fixed_from_values(config.merge(dict.fromkeys(definition.keys, value)))
+    got, want = _by_config_key(applied), _by_config_key(expected)
+    assert set(got) == set(config.CONFIG_KEYS)
+    for key in config.CONFIG_KEYS:
+        if key in definition.keys:
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+        else:
+            assert got[key] == want[key], key
+
+
+def test_failing_grid_point_names_itself(monkeypatch):
+    # The exception keeps its class; its message gains the point's axis
+    # columns and values.
+    solve = sweep_mod.solve_lyapunov
+    calls = []
+
+    def second_solve_fails(drift, diffusion):
+        calls.append(drift)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("LAPACK dgees failed (info = 1)")
+        return solve(drift, diffusion)
+
+    monkeypatch.setattr(sweep_mod, "solve_lyapunov", second_solve_fails)
+    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), axis2="theta",
+                     range2=(0.0, 1.0, 2), fixed=_default_fixed(), outputs=("var_x1",))
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        run_sweep(spec)
+    assert type(info.value) is np.linalg.LinAlgError
+    assert str(info.value) == "r = 0, theta_rad = 1: LAPACK dgees failed (info = 1)"
+    # A failure applying axis1 names axis1 alone.
+    spec = SweepSpec(axis1="delta_a", range1=(-2e10, 0.0, 2), axis2="r",
+                     range2=(0.0, 1.0, 2), fixed=_default_fixed(), outputs=("var_x1",))
+    with pytest.raises(ValueError) as info:
+        run_sweep(spec)
+    assert str(info.value) == ("delta_a_hz = -20000000000: "
+                               "omega_a must be nonnegative, got -10000.0")
 
 
 def test_run_sweep_entanglement_switches_on_with_drive():
