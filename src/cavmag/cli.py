@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -121,6 +122,10 @@ def _cmd_point(args) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -130,15 +135,19 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    # LinAlgError subclasses ValueError, so it must be caught first.
-    except (UnstableSystemError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    # Warnings print as one line without the library's source location;
+    # the caller's handler is restored on return.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.handler(args)
+        # LinAlgError subclasses ValueError, so it must be caught first.
+        except (UnstableSystemError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, OSError) as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -1,20 +1,21 @@
 """Steady-state and transient covariance of the quadrature dynamics.
 
-The stationary covariance matrix V solves A V + V A^T = -D.  Two
-independent backends are provided: a Bartels-Stewart solve that calls
-LAPACK dgees (real Schur form) and dtrsyl (triangular Sylvester solve)
-directly, and a dense 36x36 vectorized solve.  They cross-validate each
-other in the test suite; both enforce the same residual bound on every
-result.  A LAPACK failure raises numpy.linalg.LinAlgError.
+The stationary covariance matrix V solves A V + V A^T = -D by either of
+two cross-validated backends, each with the same residual bound: a
+Bartels-Stewart solve calling LAPACK dgees and dtrsyl directly (a LAPACK
+failure raises numpy.linalg.LinAlgError), and a dense 36x36 vectorized
+solve.  propagate_covariance steps dV/dt = A V + V A^T + D exactly with
+the matrix exponential, independent of both.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import expm, lapack
 
 from .dynamics import DiffusionMatrix, _check_info, _drift_array, stability_check
 
@@ -179,46 +180,42 @@ def solve_lyapunov_kron(a, d) -> CovarianceMatrix:
 
 
 def propagate_covariance(a, d, v0, t_final: float, dt: float) -> CovarianceMatrix:
-    """Integrate dV/dt = A V + V A^T + D with fixed-step classical RK4.
+    """Propagate dV/dt = A V + V A^T + D from v0 to t_final, exactly.
 
-    Time is measured in the reciprocal of the unit carried by ``a`` and
-    ``d`` (seconds when they are in rad/s, 1/(2 pi MHz) in the package's
-    internal units).  The step must satisfy dt * ||A||_2 <= 0.1; the
-    integration is deterministic and the state is symmetrized after every
-    step.  For stable drift and t_final much longer than the inverse
-    stability margin the result converges to the solve_lyapunov output.
+    Each of the n = ceil(t_final / dt) steps of h = t_final / n applies
+    V <- Phi V Phi^T + Q with Phi = e^{A h} and Q = int_0^h e^{A s} D
+    e^{A^T s} ds, both from one expm of [[-A, D], [0, A^T]] h (Van Loan
+    1978): Phi is its lower-right block transposed, Q is Phi times its
+    upper-right block.  dt * ||A||_2 <= 1 bounds the e^{||A|| h} growth of
+    the -A corner; within it the result is independent of dt up to
+    rounding.  Time is in the reciprocal unit of ``a`` and ``d``
+    (1/(2 pi MHz) internally).  V is symmetrized after every step and
+    t_final = 0 returns v0; no Lyapunov solve is used.
     """
     a_arr = _drift_array(a)
     d_arr = _diffusion_array(d)
     v = np.array(v0.v if isinstance(v0, CovarianceMatrix) else v0, dtype=float)
     if v.shape != a_arr.shape:
         raise ValueError(f"v0 must have shape {a_arr.shape}, got {v.shape}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_final < 0.0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
     a_norm = float(np.linalg.norm(a_arr, 2))
-    if dt * a_norm > 0.1:
+    if dt * a_norm > 1.0:
         raise ValueError(
-            f"dt too large: dt * ||A|| = {dt * a_norm:.3g} > 0.1; "
-            f"use dt <= {0.1 / a_norm:.3g}"
+            f"dt too large: dt * ||A|| = {dt * a_norm:.3g} > 1; "
+            f"use dt <= {1.0 / a_norm:.3g}"
         )
-
-    def rhs(m):
-        return a_arr @ m + m @ a_arr.T + d_arr
-
-    def step(m, h):
-        k1 = rhs(m)
-        k2 = rhs(m + 0.5 * h * k1)
-        k3 = rhs(m + 0.5 * h * k2)
-        k4 = rhs(m + h * k3)
-        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return 0.5 * (m + m.T)
-
-    n_steps = int(t_final // dt)
-    remainder = t_final - n_steps * dt
+    n_steps = math.ceil(t_final / dt)
+    if n_steps == 0:
+        return CovarianceMatrix(v)
+    n = a_arr.shape[0]
+    f = expm(np.block([[-a_arr, d_arr], [np.zeros_like(a_arr), a_arr.T]])
+             * (t_final / n_steps))
+    phi = f[n:, n:].T
+    q = phi @ f[:n, n:]
     for _ in range(n_steps):
-        v = step(v, dt)
-    if remainder > 0.0:
-        v = step(v, remainder)
+        v = phi @ v @ phi.T + q
+        v = 0.5 * (v + v.T)
     return CovarianceMatrix(v)

@@ -236,12 +236,13 @@ def check_solver_agreement() -> CriterionResult:
 
 
 def check_transient_consistency() -> CriterionResult:
-    """RK4 propagation from vacuum over t = 50/kappa_m reaches the
-    steady state within 1e-6 entrywise."""
+    """Exact propagation from vacuum over t = 50/kappa_m in steps of
+    1/||A||_2, which uses no Lyapunov solve, reaches the steady state
+    within 1e-6 entrywise."""
     params, _ = default_params()
     drift, diffusion, steady = _steady_state(_reference())
     t_final = 50.0 / params.kappa_m1
-    dt = 0.1 / (np.linalg.norm(drift.a, 2) * 1.25)
+    dt = 1.0 / np.linalg.norm(drift.a, 2)
     propagated = propagate_covariance(drift, diffusion, 0.5 * np.eye(6), t_final, dt)
     gap = float(np.abs(propagated.v - steady.v).max())
     return _result(

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 import cavmag.sweep
@@ -25,6 +27,20 @@ def test_point_respects_set_overrides(capsys):
     out = capsys.readouterr().out
     values = dict(line.split(" = ") for line in out.strip().split("\n"))
     assert float(values["log_negativity"]) == 0.0
+
+
+def test_point_prints_warnings_on_one_line(capsys):
+    # r above the conditioning limit warns from the library; the CLI prints
+    # the message alone, stdout is unchanged, and the filters are the test's
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["point", "--set", "r=8"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: squeezing parameter r = 8")
+    assert ".py:" not in captured.err
+    assert captured.out.startswith("stability = stable\n")
 
 
 def test_sweep_writes_deterministic_csv(tmp_path, capsys):

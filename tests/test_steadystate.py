@@ -29,8 +29,10 @@ V_X1_REFERENCE = 0.29675272028902244
 SOLVERS = (solve_lyapunov, solve_lyapunov_kron)
 
 
-def _reference_system(r=2.0, theta=0.0, temperature=0.02):
+def _reference_system(r=2.0, theta=0.0, temperature=0.02, delta_a_kappas=0.0):
+    # delta_a_kappas detunes the cavity from the drive, in units of kappa_a
     params, _ = default_params()
+    params = replace(params, omega_a=params.omega_a + delta_a_kappas * params.kappa_a)
     env = Environment.from_temperature(temperature, params)
     drift = build_drift(detunings_from(params), params)
     diffusion = build_diffusion(params, DriveParams(r=r, theta=theta), env)
@@ -211,6 +213,59 @@ def test_propagate_zero_time_returns_initial_state():
     v0 = 0.5 * np.eye(6)
     cm = propagate_covariance(drift, diffusion, v0, 0.0, 0.001)
     assert np.array_equal(cm.v, v0)
+
+
+def _rk4_propagate(a, d, v0, t_final, dt):
+    """Fixed-step classical RK4 for dV/dt = A V + V A^T + D: an oracle for
+    propagate_covariance that shares none of its method (error O(dt^4))."""
+    def rhs(m):
+        return a @ m + m @ a.T + d
+
+    n_steps = math.ceil(t_final / dt)
+    h = t_final / n_steps
+    v = np.array(v0, dtype=float)
+    for _ in range(n_steps):
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * h * k1)
+        k3 = rhs(v + 0.5 * h * k2)
+        k4 = rhs(v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
+
+
+@pytest.mark.parametrize("delta_a_kappas", [0.0, 3.0])
+@pytest.mark.parametrize("t_final", [0.5, 2.0])
+def test_propagate_matches_rk4_oracle(delta_a_kappas, t_final):
+    # exact steps at the guard limit against RK4 at dt * ||A|| = 0.02,
+    # before the state has relaxed to the steady state
+    _, drift, diffusion = _reference_system(delta_a_kappas=delta_a_kappas)
+    a, d = drift.a, diffusion.d
+    a_norm = np.linalg.norm(a, 2)
+    v0 = 0.5 * np.eye(6)
+    exact = propagate_covariance(a, d, v0, t_final, 1.0 / a_norm).v
+    oracle = _rk4_propagate(a, d, v0, t_final, 0.02 / a_norm)
+    assert np.abs(exact - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+
+def test_propagate_independent_of_step():
+    _, drift, diffusion = _reference_system()
+    a, d = drift.a, diffusion.d
+    a_norm = np.linalg.norm(a, 2)
+    v0 = 0.5 * np.eye(6)
+    coarse = propagate_covariance(a, d, v0, 5.0, 1.0 / a_norm).v
+    fine = propagate_covariance(a, d, v0, 5.0, 0.1 / a_norm).v
+    assert np.abs(coarse - fine).max() <= 1e-13 * np.abs(fine).max()
+
+
+@pytest.mark.parametrize("t_final, dt, name", [
+    (math.nan, 0.001, "t_final"),
+    (math.inf, 0.001, "t_final"),
+    (1.0, math.nan, "dt"),
+])
+def test_propagate_rejects_non_finite_times(t_final, dt, name):
+    _, drift, diffusion = _reference_system()
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        propagate_covariance(drift, diffusion, 0.5 * np.eye(6), t_final, dt)
 
 
 def test_covariance_matrix_validation():
