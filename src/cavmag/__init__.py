@@ -8,12 +8,12 @@ from .model import (
     DriveParams,
     Environment,
     SystemParams,
-    default_params,
     detunings_from,
     hz_to_internal,
     internal_to_hz,
     thermal_occupation,
 )
+from .config import default_params
 from .dynamics import (
     DiffusionMatrix,
     DriftMatrix,
@@ -50,7 +50,6 @@ from .sweep import (
     format_csv,
     preset,
     run_sweep,
-    single_sample_mode,
 )
 from .verify import run_verification
 
@@ -91,7 +90,6 @@ __all__ = [
     "reduce_to_magnons",
     "run_sweep",
     "run_verification",
-    "single_sample_mode",
     "solve_lyapunov",
     "solve_lyapunov_kron",
     "squeezing_db",

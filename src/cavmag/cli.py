@@ -115,7 +115,7 @@ def _cmd_point(args) -> int:
     fixed = sweep_mod.fixed_from_values(config.merge(file_values, set_values))
     stable, quantities = sweep_mod.evaluate_point(fixed)
     if not stable:
-        raise UnstableSystemError("no steady state at this operating point")
+        sweep_mod.steady_state(fixed)  # raises UnstableSystemError with the margin
     print("stability = stable")
     for name, value in quantities.items():
         print(f"{name} = {value:.17g}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .model import DriveParams, SystemParams, hz_to_internal
+from .model import DriveParams, Environment, SystemParams, hz_to_internal
 
 CONFIG_KEYS = (
     "omega_a_hz",
@@ -41,8 +41,10 @@ CONFIG_KEYS = (
     "temperature_k",
 )
 
-# Built-in defaults: the reference operating point of model.default_params()
-# plus its headline drive (r = 2, theta = 0).
+# Built-in defaults and the only definition of the reference operating
+# point: a 10 GHz cavity with kappa_a/2pi = 5 MHz, magnon linewidths
+# kappa_a/5, couplings g = 4 kappa_a, both magnons and the drive resonant
+# with the cavity, the headline drive (r = 2, theta = 0) and a 20 mK bath.
 DEFAULTS = {
     "omega_a_hz": 10.0e9,
     "omega_m1_hz": 10.0e9,
@@ -139,3 +141,9 @@ def system_params(values: dict[str, float]) -> SystemParams:
 
 def drive_params(values: dict[str, float]) -> DriveParams:
     return DriveParams(r=values["r"], theta=values["theta_rad"])
+
+
+def default_params() -> tuple[SystemParams, Environment]:
+    """System parameters and bath of the reference point (``DEFAULTS``)."""
+    params = system_params(DEFAULTS)
+    return params, Environment.from_temperature(DEFAULTS["temperature_k"], params)

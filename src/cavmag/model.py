@@ -155,25 +155,3 @@ def detunings_from(params: SystemParams) -> Detunings:
         delta_m2=params.omega_m2 - params.omega_s,
     )
 
-
-def default_params() -> tuple[SystemParams, Environment]:
-    """Reference operating point used throughout the test suite and CLI.
-
-    10 GHz cavity with kappa_a/2pi = 5 MHz, magnon linewidths kappa_a/5,
-    couplings g = 4 kappa_a, both magnons and the drive resonant with the
-    cavity, bath at 20 mK.
-    """
-    omega_a = hz_to_internal(10.0e9)
-    kappa_a = hz_to_internal(5.0e6)
-    params = SystemParams(
-        omega_a=omega_a,
-        omega_m1=omega_a,
-        omega_m2=omega_a,
-        omega_s=omega_a,
-        kappa_a=kappa_a,
-        kappa_m1=kappa_a / 5.0,
-        kappa_m2=kappa_a / 5.0,
-        g1=4.0 * kappa_a,
-        g2=4.0 * kappa_a,
-    )
-    return params, Environment.from_temperature(0.02, params)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, lapack
 
-from .dynamics import DiffusionMatrix, _check_info, _drift_array, stability_check
+from .dynamics import (DiffusionMatrix, StabilityReport, _check_info, _drift_array,
+                       stability_check)
 
 # Max-norm residual of A V + V A^T + D, relative to the max-norm of D.
 RESIDUAL_RTOL = 1e-10
@@ -102,8 +103,8 @@ def _diffusion_array(d) -> np.ndarray:
     return d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
 
 
-def _require_stable(a: np.ndarray) -> None:
-    report = stability_check(a)
+def _require_stable(report: StabilityReport) -> None:
+    """Raise UnstableSystemError unless the stability check passed."""
     if not report.stable:
         raise UnstableSystemError(
             f"no steady state: largest drift eigenvalue real part is "
@@ -139,7 +140,7 @@ def solve_lyapunov(a, d) -> CovarianceMatrix:
     """
     a_arr = _drift_array(a)
     d_arr = _diffusion_array(d)
-    _require_stable(a_arr)
+    _require_stable(stability_check(a_arr))
     # stability_check has rejected a non-finite drift already.
     if not np.isfinite(d_arr).all():
         raise ValueError("diffusion matrix must be finite")
@@ -164,7 +165,7 @@ def solve_lyapunov_kron(a, d) -> CovarianceMatrix:
     """
     a_arr = _drift_array(a)
     d_arr = _diffusion_array(d)
-    _require_stable(a_arr)
+    _require_stable(stability_check(a_arr))
     eye = np.eye(a_arr.shape[0])
     system = np.kron(eye, a_arr) + np.kron(a_arr, eye)
     try:
@@ -207,6 +208,8 @@ def propagate_covariance(a, d, v0, t_final: float, dt: float) -> CovarianceMatri
             f"dt too large: dt * ||A|| = {dt * a_norm:.3g} > 1; "
             f"use dt <= {1.0 / a_norm:.3g}"
         )
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"t_final / dt overflows: t_final = {t_final}, dt = {dt}")
     n_steps = math.ceil(t_final / dt)
     if n_steps == 0:
         return CovarianceMatrix(v)

@@ -43,7 +43,7 @@ from .model import (
     hz_to_internal,
     internal_to_hz,
 )
-from .steadystate import solve_lyapunov
+from .steadystate import UnstableSystemError, _require_stable, solve_lyapunov
 
 QUANTITIES = (
     "log_negativity",
@@ -194,22 +194,25 @@ def _check_range(axis, rng):
         raise ValueError(f"{axis}: range min must be nonnegative, got {lo}")
 
 
-def evaluate_point(point: FixedPoint):
-    """Evaluate all quantities at one operating point.
+def steady_state(point: FixedPoint):
+    """Drift, diffusion and steady-state covariance at one operating point.
 
-    Returns (stable, quantities): a dict in the order ``cavmag point``
-    prints it, or None when no steady state exists.
+    Raises UnstableSystemError when the drift has no steady state.
     """
     params = point.params
     drift = build_drift(detunings_from(params), params)
-    if not stability_check(drift).stable:
-        return False, None
+    _require_stable(stability_check(drift))
     env = Environment.from_temperature(point.temperature, params)
-    cm = solve_lyapunov(drift, build_diffusion(params, point.drive, env))
+    diffusion = build_diffusion(params, point.drive, env)
+    return drift, diffusion, solve_lyapunov(drift, diffusion)
+
+
+def point_quantities(cm) -> dict[str, float]:
+    """Every quantity of a steady state, in the order ``cavmag point`` prints."""
     ent = log_negativity(reduce_to_magnons(cm))
     cv = collective_variances(cm)
     var_x1 = float(cm.v[2, 2])
-    return True, {
+    return {
         "log_negativity": ent.log_negativity,
         "nu_minus": ent.nu_minus,
         "duan_sum": duan_sum(cm),
@@ -220,6 +223,19 @@ def evaluate_point(point: FixedPoint):
         "squeezing_db_x1": squeezing_db(var_x1),
         "squeezing_db_Mx": squeezing_db(cv.var_Mx),
     }
+
+
+def evaluate_point(point: FixedPoint):
+    """Evaluate all quantities at one operating point.
+
+    Returns (stable, quantities): the ``point_quantities`` dict, or None
+    when no steady state exists.
+    """
+    try:
+        _, _, cm = steady_state(point)
+    except UnstableSystemError:
+        return False, None
+    return True, point_quantities(cm)
 
 
 def _axis_values(rng) -> list[float]:
@@ -252,12 +268,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             exc.args = (f"{where}: {exc}",)
             raise
     return SweepResult(spec=spec, rows=tuple(rows))
-
-
-def single_sample_mode(spec: SweepSpec) -> SweepSpec:
-    """Decouple the second magnon (g2 = 0) while keeping its bath present."""
-    fixed = replace(spec.fixed, params=replace(spec.fixed.params, g2=0.0))
-    return replace(spec, fixed=fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -471,23 +481,3 @@ def check_certification_chain(csv_text: str) -> list[str]:
                 )
     return violations
 
-
-def detuning_symmetry_error(result: SweepResult) -> float:
-    """Largest asymmetry of the log-negativity grid under simultaneous sign
-    flip of both detuning axes.  Only meaningful for 2D detuning sweeps."""
-    spec = result.spec
-    if spec.axis2 is None or not (
-        spec.axis1.startswith("delta") and spec.axis2.startswith("delta")
-    ):
-        raise ValueError("symmetry check needs a 2D detuning sweep")
-    count1, count2 = spec.range1[2], spec.range2[2]
-    column = result.column("log_negativity")
-    worst = 0.0
-    for i in range(count1):
-        for j in range(count2):
-            a = column[i * count2 + j]
-            b = column[(count1 - 1 - i) * count2 + (count2 - 1 - j)]
-            if a is None or b is None:
-                continue
-            worst = max(worst, abs(a - b))
-    return worst

@@ -5,6 +5,7 @@ import pytest
 import cavmag.sweep
 import cavmag.verify
 from cavmag.cli import main
+from cavmag.dynamics import StabilityReport
 from cavmag.steadystate import UnstableSystemError
 from cavmag.verify import CriterionResult, VerificationReport
 
@@ -228,6 +229,16 @@ def test_point_numerical_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cavmag.sweep, "evaluate_point", explode)
     assert main(["point"]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_point_unstable_drift_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cavmag.sweep, "stability_check",
+                        lambda drift: StabilityReport(stable=False, max_real_part=0.5))
+    assert main(["point"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: no steady state: largest drift "
+                            "eigenvalue real part is 5.000000e-01\n")
 
 
 def test_verify_exit_codes(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import pytest
 
+import cavmag
 from cavmag import config
+from cavmag.model import internal_to_hz
 
 
 def test_parse_config_text():
@@ -74,3 +76,12 @@ def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("r = 0.5\ntheta_rad = 1.0\n", encoding="utf-8")
     assert config.load_config(path) == {"r": 0.5, "theta_rad": 1.0}
+
+
+def test_default_params_match_defaults():
+    params, env = config.default_params()
+    for key in config.CONFIG_KEYS:
+        if key.endswith("_hz"):
+            assert internal_to_hz(getattr(params, key[:-3])) == config.DEFAULTS[key], key
+    assert env.temperature == config.DEFAULTS["temperature_k"]
+    assert cavmag.default_params is config.default_params

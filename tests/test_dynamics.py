@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cavmag.config import default_params
 from cavmag.dynamics import (
     DiffusionMatrix,
     DriftMatrix,
@@ -16,7 +17,6 @@ from cavmag.model import (
     DriveParams,
     Environment,
     SystemParams,
-    default_params,
     detunings_from,
 )
 

@@ -10,9 +10,10 @@ from scipy.linalg import lapack
 
 import cavmag.sweep
 from cavmag.cli import main
+from cavmag.config import default_params
 from cavmag.dynamics import DiffusionMatrix, build_diffusion, build_drift, stability_check
 from cavmag.measures import TwoModeCM, log_negativity, reduce_to_magnons
-from cavmag.model import DriveParams, Environment, default_params, detunings_from
+from cavmag.model import DriveParams, Environment, detunings_from
 from cavmag.steadystate import solve_lyapunov, symplectic_form
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cavmag.config import default_params
 from cavmag.dynamics import build_diffusion, build_drift
 from cavmag.measures import (
     EntanglementResult,
@@ -19,7 +20,6 @@ from cavmag.measures import (
 from cavmag.model import (
     DriveParams,
     Environment,
-    default_params,
     detunings_from,
 )
 from cavmag.steadystate import CovarianceMatrix, solve_lyapunov, solve_lyapunov_kron

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cavmag.config import default_params
 from cavmag.model import (
     ANGULAR_UNIT,
     HBAR,
@@ -9,7 +10,6 @@ from cavmag.model import (
     DriveParams,
     Environment,
     SystemParams,
-    default_params,
     detunings_from,
     hz_to_internal,
     thermal_occupation,

@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cavmag.config import default_params
 from cavmag.dynamics import build_diffusion, build_drift
 from cavmag.model import (
     DriveParams,
     Environment,
     SystemParams,
-    default_params,
     detunings_from,
 )
 from cavmag.steadystate import (
@@ -266,6 +266,13 @@ def test_propagate_rejects_non_finite_times(t_final, dt, name):
     _, drift, diffusion = _reference_system()
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         propagate_covariance(drift, diffusion, 0.5 * np.eye(6), t_final, dt)
+
+
+def test_propagate_rejects_overflowing_step_count():
+    # Both times are finite, but their ratio is not.
+    _, drift, diffusion = _reference_system()
+    with pytest.raises(ValueError, match=r"t_final = 1e\+300, dt = 1e-10$"):
+        propagate_covariance(drift, diffusion, 0.5 * np.eye(6), 1e300, 1e-10)
 
 
 def test_covariance_matrix_validation():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,17 +7,18 @@ import pytest
 import cavmag.sweep as sweep_mod
 from cavmag import config
 from cavmag.sweep import (
+    QUANTITIES,
     FixedPoint,
     GridRow,
     SweepResult,
     SweepSpec,
     check_certification_chain,
-    detuning_symmetry_error,
     fixed_from_values,
     format_csv,
+    point_quantities,
     preset,
     run_sweep,
-    single_sample_mode,
+    steady_state,
     with_range,
 )
 from cavmag.dynamics import StabilityReport
@@ -174,9 +176,9 @@ def test_preset_fig5b_definition():
 
 
 def test_preset_fig6b_is_single_sample():
-    spec = preset("fig6b", points=5)
-    assert spec.fixed.params.g2 == 0.0
-    assert spec.fixed.params.g1 > 0.0
+    # the second magnon is decoupled (g2 = 0) and keeps its bath
+    fig6a, fig6b = preset("fig6a", points=5), preset("fig6b", points=5)
+    assert fig6b.fixed.params == replace(fig6a.fixed.params, g2=0.0)
 
 
 def test_preset_unknown_name():
@@ -208,20 +210,11 @@ def test_preset_resonance_and_span_follow_final_values():
     assert spec.fixed.params.omega_m1 == spec.fixed.params.omega_s == 10000.0
 
 
-def test_single_sample_mode_decouples_second_magnon():
-    spec = preset("fig6a", points=5)
-    decoupled = single_sample_mode(spec)
-    assert decoupled.fixed.params.g2 == 0.0
-    assert decoupled.fixed.params.g1 == spec.fixed.params.g1
-    assert decoupled.fixed.params.kappa_m2 == spec.fixed.params.kappa_m2
-
-
 def test_single_sample_squeezing_at_reference_drive():
     # one decoupled sample still inherits several dB of squeezing, close to
     # the collective-quadrature value of the pair
-    spec = single_sample_mode(
-        SweepSpec(axis1="r", range1=(0.0, 2.0, 2), fixed=_default_fixed(),
-                  outputs=("var_x1", "squeezing_db_x1")))
+    spec = SweepSpec(axis1="r", range1=(0.0, 2.0, 2), fixed=_default_fixed(g2_hz=0.0),
+                     outputs=("var_x1", "squeezing_db_x1"))
     result = run_sweep(spec)
     db = result.column("squeezing_db_x1")[1]  # r = 2 row
     assert db > 5.0
@@ -253,7 +246,7 @@ def test_single_sample_thermal_variance():
     fixed = _default_fixed(g1_hz=0.0, g2_hz=0.0, temperature_k=0.1)
     spec = SweepSpec(axis1="r", range1=(0.0, 0.5, 2), fixed=fixed,
                      outputs=("var_x1",))
-    result = run_sweep(single_sample_mode(spec))
+    result = run_sweep(spec)
     from cavmag.model import Environment
     env = Environment.from_temperature(0.1, fixed.params)
     assert result.rows[0].values[0] == env.n_m1 + 0.5
@@ -370,13 +363,10 @@ def test_certification_chain_flags_violations():
 
 
 def test_detuning_grid_is_symmetric_under_sign_flip():
+    # E is unchanged when both detunings flip sign
     result = run_sweep(preset("fig2b", points=9))
-    assert detuning_symmetry_error(result) <= 1e-9
-
-
-def test_detuning_symmetry_requires_detuning_axes():
-    with pytest.raises(ValueError):
-        detuning_symmetry_error(run_sweep(preset("fig3", points=3)))
+    e = np.array(result.column("log_negativity")).reshape(9, 9)
+    assert np.abs(e - e[::-1, ::-1]).max() <= 1e-9
 
 
 def test_resonance_is_grid_maximum_small_grid():
@@ -402,3 +392,10 @@ def test_format_csv_round_trip_manual_rows():
     assert text == ("r,var_x1,stability\n"
                     "0,0.12345678901234568,stable\n"
                     "1,,unstable\n")
+
+
+def test_sweep_outputs_are_the_point_quantities():
+    # every quantity `cavmag point` prints is a sweep output, except the
+    # diagnostic nu_minus
+    _, _, cm = steady_state(_default_fixed())
+    assert set(QUANTITIES) == set(point_quantities(cm)) - {"nu_minus"}

@@ -1,7 +1,10 @@
 import pytest
 
-from cavmag import verify
-from cavmag.sweep import GridRow, SweepResult, SweepSpec, preset
+import cavmag.sweep
+from cavmag import config, verify
+from cavmag.dynamics import StabilityReport
+from cavmag.steadystate import UnstableSystemError
+from cavmag.sweep import GridRow, SweepResult, SweepSpec, fixed_from_values, preset
 
 
 @pytest.fixture
@@ -53,3 +56,20 @@ def test_criterion_consistency_flags_chain_violation(monkeypatch, e_value, passe
     result = verify.check_criterion_consistency()
     assert result.passed is passed
     assert result.detail.startswith(f"{0 if passed else 3} chain violations")
+
+
+def test_reference_is_the_default_configuration():
+    assert verify._reference() == fixed_from_values(config.merge())
+    assert verify._reference(r=1.0) == fixed_from_values(config.merge({"r": 1.0}))
+
+
+# Every check that evaluates an operating point without running a sweep.
+_POINT_CHECKS = [verify.ALL_CHECKS[i - 1] for i in (1, 2, 4, 6, 9, 10, 11, 13)]
+
+
+@pytest.mark.parametrize("check", _POINT_CHECKS, ids=lambda check: check.__name__)
+def test_point_checks_raise_when_unstable(monkeypatch, check):
+    monkeypatch.setattr(cavmag.sweep, "stability_check",
+                        lambda drift: StabilityReport(stable=False, max_real_part=0.5))
+    with pytest.raises(UnstableSystemError, match="^no steady state"):
+        check()
