@@ -46,7 +46,6 @@ from .sweep import (
     FixedPoint,
     SweepResult,
     SweepSpec,
-    evaluate_point,
     format_csv,
     preset,
     run_sweep,
@@ -78,7 +77,6 @@ __all__ = [
     "default_params",
     "detunings_from",
     "duan_sum",
-    "evaluate_point",
     "format_csv",
     "hz_to_internal",
     "input_squeezing_db",

@@ -113,9 +113,7 @@ def _cmd_verify(args) -> int:
 def _cmd_point(args) -> int:
     file_values, set_values = _load_values(args)
     fixed = sweep_mod.fixed_from_values(config.merge(file_values, set_values))
-    stable, quantities = sweep_mod.evaluate_point(fixed)
-    if not stable:
-        sweep_mod.steady_state(fixed)  # raises UnstableSystemError with the margin
+    quantities = sweep_mod.point_quantities(sweep_mod.steady_state(fixed)[2])
     print("stability = stable")
     for name, value in quantities.items():
         print(f"{name} = {value:.17g}")

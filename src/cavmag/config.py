@@ -26,21 +26,6 @@ import math
 
 from .model import DriveParams, Environment, SystemParams, hz_to_internal
 
-CONFIG_KEYS = (
-    "omega_a_hz",
-    "omega_m1_hz",
-    "omega_m2_hz",
-    "omega_s_hz",
-    "kappa_a_hz",
-    "kappa_m1_hz",
-    "kappa_m2_hz",
-    "g1_hz",
-    "g2_hz",
-    "r",
-    "theta_rad",
-    "temperature_k",
-)
-
 # Built-in defaults and the only definition of the reference operating
 # point: a 10 GHz cavity with kappa_a/2pi = 5 MHz, magnon linewidths
 # kappa_a/5, couplings g = 4 kappa_a, both magnons and the drive resonant
@@ -60,19 +45,24 @@ DEFAULTS = {
     "temperature_k": 0.02,
 }
 
+CONFIG_KEYS = tuple(DEFAULTS)
 
-def _parse_entry(key: str, raw: str, where: str) -> tuple[str, float]:
-    key = key.strip()
+
+def _parse_entry(item: str, where: str) -> tuple[str, float]:
+    """One ``key=value`` entry; ``where`` prefixes every error message."""
+    if "=" not in item:
+        raise ValueError(f"{where}: expected key=value, got {item!r}")
+    key, raw = (part.strip() for part in item.split("=", 1))
     if key not in CONFIG_KEYS:
         raise ValueError(
             f"{where}: unknown key {key!r}; valid keys: {', '.join(CONFIG_KEYS)}"
         )
     try:
-        value = float(raw.strip())
+        value = float(raw)
     except ValueError:
-        raise ValueError(f"{where}: value for {key!r} is not a number: {raw.strip()!r}")
+        raise ValueError(f"{where}: value for {key!r} is not a number: {raw!r}")
     if not math.isfinite(value):
-        raise ValueError(f"{where}: value for {key!r} must be finite, got {raw.strip()!r}")
+        raise ValueError(f"{where}: value for {key!r} must be finite, got {raw!r}")
     return key, value
 
 
@@ -81,13 +71,9 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, float]:
     values: dict[str, float] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, raw = line.split("=", 1)
-        key, value = _parse_entry(key, raw, f"{source}:{lineno}")
-        values[key] = value
+        if line:
+            key, value = _parse_entry(line, f"{source}:{lineno}")
+            values[key] = value
     return values
 
 
@@ -99,14 +85,7 @@ def load_config(path) -> dict[str, float]:
 
 def parse_overrides(assignments) -> dict[str, float]:
     """Parse ``key=value`` strings, e.g. from repeated --set options."""
-    values: dict[str, float] = {}
-    for item in assignments:
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        key, value = _parse_entry(key, raw, "--set")
-        values[key] = value
-    return values
+    return dict(_parse_entry(item, "--set") for item in assignments)
 
 
 def merge(*layers: dict[str, float]) -> dict[str, float]:

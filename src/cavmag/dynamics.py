@@ -123,7 +123,8 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
     2 kappa_a [[N + 1/2 + Re M, Im M], [Im M, N + 1/2 - Re M]].  Each
     magnon couples to its own thermal bath, contributing
     2 kappa_mi (n_mi + 1/2) times the 2x2 identity.  The blocks sit on the
-    diagonal; the baths are mutually uncorrelated.
+    diagonal; the baths are mutually uncorrelated.  Above r of about 354
+    the cavity entries overflow a double: OverflowError names r.
     """
     if drive.r > R_CONDITIONING_LIMIT:
         warnings.warn(
@@ -132,8 +133,11 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
             RuntimeWarning,
             stacklevel=2,
         )
-    n_sq = math.sinh(drive.r) ** 2
-    m_sq = cmath.exp(1j * drive.theta) * math.sinh(drive.r) * math.cosh(drive.r)
+    try:
+        n_sq = math.sinh(drive.r) ** 2
+        m_sq = cmath.exp(1j * drive.theta) * math.sinh(drive.r) * math.cosh(drive.r)
+    except OverflowError:  # reported with the entries that overflow below
+        n_sq = m_sq = math.inf
     ka = params.kappa_a
     d = np.zeros((6, 6))
     d[0, 0] = 2.0 * ka * (n_sq + 0.5 + m_sq.real)
@@ -141,6 +145,10 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
     d[0, 1] = d[1, 0] = 2.0 * ka * m_sq.imag
     d[2, 2] = d[3, 3] = 2.0 * params.kappa_m1 * (env.n_m1 + 0.5)
     d[4, 4] = d[5, 5] = 2.0 * params.kappa_m2 * (env.n_m2 + 0.5)
+    if not all(map(math.isfinite, (d[0, 0], d[1, 1], d[0, 1]))):
+        raise OverflowError(
+            f"squeezing parameter r = {drive.r:g} overflows the diffusion matrix: "
+            f"its entries of order e^(2r) exceed the largest double")
     return DiffusionMatrix(d)
 
 

@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .dynamics import _check_info
-from .steadystate import CovarianceMatrix, _Covariance, symplectic_form
+from .steadystate import CovarianceMatrix, _Covariance, _spectrum, symplectic_form
 from .steadystate import symplectic_eigenvalues  # noqa: F401  (re-exported)
 
 VACUUM_VARIANCE = 0.5
@@ -49,20 +47,18 @@ class TwoModeCM(_Covariance):
 
 @dataclass(frozen=True)
 class EntanglementResult:
-    """Logarithmic negativity and the partial-transpose symplectic eigenvalue."""
+    """The partial-transpose symplectic eigenvalue nu_minus of a magnon pair."""
 
-    log_negativity: float
     nu_minus: float
 
     def __post_init__(self):
         if not self.nu_minus > 0.0:
             raise ValueError(f"nu_minus must be positive, got {self.nu_minus}")
-        expected = max(0.0, -math.log(2.0 * self.nu_minus))
-        if self.log_negativity != expected:
-            raise ValueError(
-                f"inconsistent result: log_negativity {self.log_negativity!r} "
-                f"!= max(0, -ln(2 nu_minus)) = {expected!r}"
-            )
+
+    @property
+    def log_negativity(self) -> float:
+        """E = max(0, -ln(2 nu_minus))."""
+        return max(0.0, -math.log(2.0 * self.nu_minus))
 
 
 @dataclass(frozen=True)
@@ -95,11 +91,7 @@ def log_negativity(two_mode: TwoModeCM) -> EntanglementResult:
     comes from LAPACK zgeev; a failure there raises
     numpy.linalg.LinAlgError.
     """
-    m = _I_OMEGA @ (two_mode.v * _PT_SIGNS)
-    if not np.isfinite(m).all():
-        raise np.linalg.LinAlgError("partial-transpose matrix must be finite")
-    eigvals, _, _, info = lapack.zgeev(m, compute_vl=0, compute_vr=0)
-    _check_info("zgeev", info)
+    eigvals = _spectrum(_I_OMEGA @ (two_mode.v * _PT_SIGNS))
     scale = max(float(np.abs(eigvals).max()), 1.0)
     imag_residue = float(np.abs(eigvals.imag).max())
     if imag_residue > _EIG_IMAG_RTOL * scale:
@@ -107,13 +99,7 @@ def log_negativity(two_mode: TwoModeCM) -> EntanglementResult:
             f"partial-transpose spectrum has imaginary residue "
             f"{imag_residue:.3e}; the input covariance matrix is unphysical"
         )
-    nu_minus = float(np.abs(eigvals).min())
-    if nu_minus <= 0.0:
-        raise ArithmeticError("singular partial-transpose spectrum (nu_minus = 0)")
-    return EntanglementResult(
-        log_negativity=max(0.0, -math.log(2.0 * nu_minus)),
-        nu_minus=nu_minus,
-    )
+    return EntanglementResult(float(np.abs(eigvals).min()))
 
 
 def collective_variances(cm: CovarianceMatrix) -> CollectiveVariances:

@@ -42,6 +42,15 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return form
 
 
+def _spectrum(m: np.ndarray) -> np.ndarray:
+    """zgeev eigenvalues of a square matrix; LinAlgError if non-finite or on failure."""
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("eigenvalue input must be finite")
+    eigvals, _, _, info = lapack.zgeev(m, compute_vl=0, compute_vr=0)
+    _check_info("zgeev", info)
+    return eigvals
+
+
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a 2n x 2n covariance matrix, ascending.
 
@@ -51,7 +60,7 @@ def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     """
     arr = np.asarray(v, dtype=float)
     n_modes = arr.shape[0] // 2
-    eigvals = np.linalg.eigvals(1j * symplectic_form(n_modes) @ arr)
+    eigvals = _spectrum(1j * symplectic_form(n_modes) @ arr)
     return np.sort(np.abs(eigvals))[::2]
 
 
@@ -100,7 +109,11 @@ class CovarianceMatrix(_Covariance):
 
 
 def _diffusion_array(d) -> np.ndarray:
-    return d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
+    """The diffusion as an array; ValueError unless every entry is finite."""
+    arr = d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("diffusion matrix must be finite")
+    return arr
 
 
 def _require_stable(report: StabilityReport) -> None:
@@ -141,9 +154,6 @@ def solve_lyapunov(a, d) -> CovarianceMatrix:
     a_arr = _drift_array(a)
     d_arr = _diffusion_array(d)
     _require_stable(stability_check(a_arr))
-    # stability_check has rejected a non-finite drift already.
-    if not np.isfinite(d_arr).all():
-        raise ValueError("diffusion matrix must be finite")
     t, _, _, _, u, _, info = lapack.dgees(_no_sort, a_arr)
     _check_info("dgees", info)
     y, scale, info = lapack.dtrsyl(t, t, u.T.dot((-d_arr).dot(u)), tranb="T")
@@ -191,7 +201,8 @@ def propagate_covariance(a, d, v0, t_final: float, dt: float) -> CovarianceMatri
     the -A corner; within it the result is independent of dt up to
     rounding.  Time is in the reciprocal unit of ``a`` and ``d``
     (1/(2 pi MHz) internally).  V is symmetrized after every step and
-    t_final = 0 returns v0; no Lyapunov solve is used.
+    t_final = 0 returns v0; no Lyapunov solve is used.  A non-finite
+    diffusion raises ValueError.
     """
     a_arr = _drift_array(a)
     d_arr = _diffusion_array(d)

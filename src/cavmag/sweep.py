@@ -76,7 +76,6 @@ class Axis:
     keys: tuple[str, ...]      # configuration keys it sets at every grid point
     apply: Callable[[FixedPoint, float], FixedPoint]  # (point, value) -> point
     preset_range: Callable[[FixedPoint, int], tuple]  # (point, n) -> (min, max, n)
-    nonnegative: bool = False  # range minimum must be >= 0
 
 
 # Appliers run once per grid point, so they build each FixedPoint directly.
@@ -103,14 +102,14 @@ _AXES = {
                     _detuning_range),
     "r": Axis("r", ("r",),
               lambda p, r: FixedPoint(p.params, replace(p.drive, r=r), p.temperature),
-              lambda p, n: (0.0, 3.0, n), nonnegative=True),
+              lambda p, n: (0.0, 3.0, n)),
     "theta": Axis("theta_rad", ("theta_rad",),
                   lambda p, theta: FixedPoint(p.params, replace(p.drive, theta=theta),
                                               p.temperature),
                   lambda p, n: (0.0, TWO_PI * (n - 1) / n, n)),
     "temperature": Axis("temperature_k", ("temperature_k",),
                         lambda p, t: FixedPoint(p.params, p.drive, t),
-                        lambda p, n: (0.0, 0.5, n), nonnegative=True),
+                        lambda p, n: (0.0, 0.5, n)),
 }
 
 AXES = tuple(_AXES)
@@ -182,7 +181,7 @@ class SweepResult:
 
 
 def _check_range(axis, rng):
-    definition = get_axis(axis)
+    get_axis(axis)  # rejects an unknown axis name
     lo, hi, count = rng
     if int(count) != count or count < 2:
         raise ValueError(f"{axis}: grid needs at least 2 points, got {count}")
@@ -190,8 +189,6 @@ def _check_range(axis, rng):
         raise ValueError(f"{axis}: range bounds must be finite, got {lo} and {hi}")
     if not lo < hi:
         raise ValueError(f"{axis}: range min {lo} must be below max {hi}")
-    if definition.nonnegative and lo < 0.0:
-        raise ValueError(f"{axis}: range min must be nonnegative, got {lo}")
 
 
 def steady_state(point: FixedPoint):
@@ -225,20 +222,8 @@ def point_quantities(cm) -> dict[str, float]:
     }
 
 
-def evaluate_point(point: FixedPoint):
-    """Evaluate all quantities at one operating point.
-
-    Returns (stable, quantities): the ``point_quantities`` dict, or None
-    when no steady state exists.
-    """
-    try:
-        _, _, cm = steady_state(point)
-    except UnstableSystemError:
-        return False, None
-    return True, point_quantities(cm)
-
-
-def _axis_values(rng) -> list[float]:
+def axis_values(rng) -> list[float]:
+    """Grid values of one axis range (min, max, count), both ends included."""
     lo, hi, count = rng
     return np.linspace(lo, hi, int(count)).tolist()
 
@@ -246,21 +231,27 @@ def _axis_values(rng) -> list[float]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid, axis1-major then axis2, deterministically.
 
-    An exception raised while a grid point is applied or evaluated
-    propagates with its message prefixed by the point's coordinates.
+    A point without a steady state gives an unstable row.  Any other
+    exception raised while a grid point is applied or evaluated propagates
+    with its message prefixed by the point's coordinates.
     """
     axis1, axis2 = _AXES[spec.axis1], _AXES.get(spec.axis2)
-    grid2 = _axis_values(spec.range2) if axis2 else [None]
+    grid2 = axis_values(spec.range2) if axis2 else [None]
     rows = []
-    for v1 in _axis_values(spec.range1):
+    for v1 in axis_values(spec.range1):
         v2 = None
         try:
             base = axis1.apply(spec.fixed, v1)
             for v2 in grid2:
                 point = base if axis2 is None else axis2.apply(base, v2)
-                stable, quantities = evaluate_point(point)
-                values = tuple([quantities[n] for n in spec.outputs]) if stable else None
-                rows.append(GridRow(v1, v2, stable, values))
+                try:
+                    _, _, cm = steady_state(point)
+                except UnstableSystemError:
+                    rows.append(GridRow(v1, v2, False, None))
+                else:
+                    quantities = point_quantities(cm)
+                    values = tuple([quantities[n] for n in spec.outputs])
+                    rows.append(GridRow(v1, v2, True, values))
         except Exception as exc:
             where = ", ".join(f"{axis.column} = {_fmt(v)}"
                               for axis, v in ((axis1, v1), (axis2, v2)) if v is not None)

@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import config
+from .dynamics import stability_check
 from .measures import DUAN_BOUND, MANCINI_BOUND, input_squeezing_db
-from .sweep import (FixedPoint, check_certification_chain, fixed_from_values,
-                    format_csv, get_axis, point_quantities, preset, run_sweep,
-                    steady_state)
+from .sweep import (FixedPoint, axis_values, check_certification_chain,
+                    fixed_from_values, format_csv, get_axis, point_quantities,
+                    preset, run_sweep, steady_state)
 from .steadystate import propagate_covariance, solve_lyapunov, solve_lyapunov_kron
 
 # The checks reach these through cavmag.sweep; the benchmark tracer still
@@ -122,12 +123,12 @@ def check_resonance_optimality() -> CriterionResult:
     """On the fig2b grid the entanglement peaks at the point nearest zero
     detuning."""
     result = _preset_sweep("fig2b")
-    grid1 = np.linspace(*result.spec.range1)
-    grid2 = np.linspace(*result.spec.range2)
+    rows = result.rows
     column = result.column("log_negativity")
     values = np.array([v if v is not None else -np.inf for v in column])
     best = int(values.argmax())
-    expected = int(np.abs(grid1).argmin()) * len(grid2) + int(np.abs(grid2).argmin())
+    expected = min(range(len(rows)), key=lambda i: (abs(rows[i].axis1_value),
+                                                    abs(rows[i].axis2_value)))
     return _result(
         5, "resonance optimality",
         best == expected,
@@ -184,7 +185,7 @@ def check_criterion_consistency() -> CriterionResult:
 
 def _random_stable_pair(rng):
     a = rng.normal(size=(6, 6))
-    a = a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(6)
+    a = a - (stability_check(a).max_real_part + 0.5) * np.eye(6)
     b = rng.normal(size=(6, 6))
     return a, b @ b.T
 
@@ -240,8 +241,8 @@ def check_physicality_null_cases() -> CriterionResult:
     worst_e = 0.0
     for temperature in (0.0, 0.1, 0.3):
         reference = _reference(r=0.0, temperature_k=temperature)
-        for nu_a in np.linspace(*delta_a.preset_range(reference, 5)).tolist():
-            for nu_m in np.linspace(*delta_m.preset_range(reference, 5)).tolist():
+        for nu_a in axis_values(delta_a.preset_range(reference, 5)):
+            for nu_m in axis_values(delta_m.preset_range(reference, 5)):
                 point = delta_m.apply(delta_a.apply(reference, nu_a), nu_m)
                 _, _, cm = steady_state(point)
                 nu_min = float(cm.symplectic_eigenvalues().min())
@@ -262,12 +263,10 @@ def check_phase_invariance() -> CriterionResult:
                 for theta in (0.0, math.pi / 4, math.pi / 2, math.pi)]
     e_spread = max(e_values) - min(e_values)
     result = _preset_sweep("fig5b")
-    count2 = result.spec.range2[2]
-    column = result.column("var_x1")
-    row_spread = 0.0
-    for i in range(result.spec.range1[2]):
-        row = column[i * count2:(i + 1) * count2]
-        row_spread = max(row_spread, max(row) - min(row))
+    along_theta = {}
+    for row, var_x1 in zip(result.rows, result.column("var_x1")):
+        along_theta.setdefault(row.axis1_value, []).append(var_x1)
+    row_spread = max(max(values) - min(values) for values in along_theta.values())
     return _result(
         12, "phase invariance of E",
         e_spread <= 1e-9 and row_spread > 1e-6,

@@ -226,19 +226,51 @@ def test_failing_grid_point_is_named_with_unchanged_exit_code(monkeypatch, capsy
 def test_point_numerical_failure_exit_code(monkeypatch, capsys):
     def explode(fixed):
         raise UnstableSystemError("no steady state")
-    monkeypatch.setattr(cavmag.sweep, "evaluate_point", explode)
+    monkeypatch.setattr(cavmag.sweep, "steady_state", explode)
     assert main(["point"]) == 2
     assert "numerical failure" in capsys.readouterr().err
 
 
 def test_point_unstable_drift_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(cavmag.sweep, "stability_check",
-                        lambda drift: StabilityReport(stable=False, max_real_part=0.5))
+    calls = []
+
+    def unstable(drift):
+        calls.append(drift)
+        return StabilityReport(stable=False, max_real_part=0.5)
+
+    monkeypatch.setattr(cavmag.sweep, "stability_check", unstable)
     assert main(["point"]) == 2
+    assert len(calls) == 1  # the unstable point is evaluated once
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("numerical failure: no steady state: largest drift "
                             "eigenvalue real part is 5.000000e-01\n")
+
+
+@pytest.mark.parametrize("r", ["355", "400", "800"])
+def test_point_overflowing_r_names_r(capsys, r):
+    # The cavity noise grows like e^(2r) and leaves the double range near
+    # r = 354: a numerical failure that names r, not an errno tuple.
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["point", "--set", f"r={r}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"warning: squeezing parameter r = {r} makes diffusion "
+                            f"entries of order e^(2r); steady-state solves may lose "
+                            f"accuracy\n"
+                            f"numerical failure: squeezing parameter r = {r} overflows "
+                            f"the diffusion matrix: its entries of order e^(2r) "
+                            f"exceed the largest double\n")
+
+
+def test_negative_range_fails_at_its_grid_point(capsys):
+    assert main(["sweep", "--preset", "fig3", "--points", "3",
+                 "--range", "temperature=-0.1:0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: temperature_k = -0.10000000000000001: "
+                            "temperature must be nonnegative, got -0.1\n")
 
 
 def test_verify_exit_codes(monkeypatch, capsys):

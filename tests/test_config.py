@@ -38,8 +38,10 @@ def test_parse_rejects_non_finite(raw):
 
 
 def test_parse_rejects_missing_equals():
-    with pytest.raises(ValueError, match="key = value"):
+    with pytest.raises(ValueError, match="^config:1: expected key=value, got 'r 2'$"):
         config.parse_config_text("r 2\n")
+    with pytest.raises(ValueError, match="^--set: expected key=value, got 'r'$"):
+        config.parse_overrides(["r"])
 
 
 def test_parse_reports_line_numbers():

@@ -14,7 +14,8 @@ from cavmag.config import default_params
 from cavmag.dynamics import DiffusionMatrix, build_diffusion, build_drift, stability_check
 from cavmag.measures import TwoModeCM, log_negativity, reduce_to_magnons
 from cavmag.model import DriveParams, Environment, detunings_from
-from cavmag.steadystate import solve_lyapunov, symplectic_form
+from cavmag.steadystate import (propagate_covariance, solve_lyapunov, solve_lyapunov_kron,
+                                symplectic_eigenvalues, symplectic_form)
 
 
 def _reference_system():
@@ -101,8 +102,11 @@ def test_non_finite_raw_diffusion_raises_value_error(bad):
     a, d = _reference_system()
     d = d.copy()
     d[0, 1] = d[1, 0] = bad
-    with pytest.raises(ValueError, match="finite"):
-        solve_lyapunov(a, d)
+    # Every consumer rejects it up front, even a propagation of zero length.
+    for solve in (solve_lyapunov, solve_lyapunov_kron,
+                  lambda a, d: propagate_covariance(a, d, 0.5 * np.eye(6), 0.0, 0.001)):
+        with pytest.raises(ValueError, match="^diffusion matrix must be finite$"):
+            solve(a, d)
 
 
 def _fail_routine(monkeypatch, name):
@@ -136,6 +140,23 @@ def test_zgeev_failure_raises_in_log_negativity(monkeypatch):
     _fail_routine(monkeypatch, "zgeev")
     with pytest.raises(np.linalg.LinAlgError, match="zgeev"):
         log_negativity(two_mode)
+
+
+def test_symplectic_eigenvalues_call_zgeev_directly(monkeypatch):
+    cm = solve_lyapunov(*_reference_system())
+    expected = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(3) @ cm.v)))[::2]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    got = cm.symplectic_eigenvalues()
+    assert np.abs(got - expected).max() <= 1e-14 * expected.max()
+    with pytest.raises(np.linalg.LinAlgError, match="finite"):
+        symplectic_eigenvalues(np.full((4, 4), np.nan))
+    _fail_routine(monkeypatch, "zgeev")
+    with pytest.raises(np.linalg.LinAlgError, match="zgeev"):
+        cm.symplectic_eigenvalues()
 
 
 def test_dsyev_failure_raises_in_diffusion_matrix(monkeypatch):

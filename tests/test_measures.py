@@ -144,11 +144,13 @@ def test_r_zero_never_entangles():
         assert log_negativity(reduce_to_magnons(cm)).log_negativity <= 1e-12
 
 
-def test_entanglement_result_consistency_enforced():
-    with pytest.raises(ValueError):
-        EntanglementResult(log_negativity=1.0, nu_minus=0.5)
-    with pytest.raises(ValueError):
-        EntanglementResult(log_negativity=0.0, nu_minus=0.0)
+def test_entanglement_result_derives_log_negativity():
+    assert EntanglementResult(0.25).log_negativity == math.log(2.0)
+    for nu_minus in (0.5, 0.7, 3.0):
+        assert EntanglementResult(nu_minus).log_negativity == 0.0
+    for nu_minus in (0.0, -0.25, math.nan):
+        with pytest.raises(ValueError, match="nu_minus must be positive"):
+            EntanglementResult(nu_minus)
 
 
 def test_collective_variances_vacuum():

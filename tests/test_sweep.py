@@ -44,9 +44,6 @@ def test_spec_validation():
                   outputs=("log_negativity",))
     with pytest.raises(ValueError, match="output"):
         SweepSpec(axis1="r", range1=(0, 1, 3), fixed=fixed, outputs=("bogus",))
-    with pytest.raises(ValueError, match="nonnegative"):
-        SweepSpec(axis1="temperature", range1=(-0.1, 0.5, 3), fixed=fixed,
-                  outputs=("log_negativity",))
     for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="^r: range bounds must be finite"):
             SweepSpec(axis1="r", range1=(lo, hi, 3), fixed=fixed,
@@ -115,6 +112,22 @@ def test_failing_grid_point_names_itself(monkeypatch):
         run_sweep(spec)
     assert str(info.value) == ("delta_a_hz = -20000000000: "
                                "omega_a must be nonnegative, got -10000.0")
+
+
+@pytest.mark.parametrize("axis, rng, message", [
+    ("temperature", (-0.1, 0.5, 3),
+     "temperature_k = -0.10000000000000001: temperature must be nonnegative, got -0.1"),
+    ("r", (-1.0, 1.0, 3),
+     "r = -1: squeezing parameter r must be nonnegative, got -1.0"),
+], ids=["temperature", "r"])
+def test_negative_range_fails_at_its_grid_point(axis, rng, message):
+    # The model, not the axis, owns the sign rule: the spec is valid and
+    # the first grid point is rejected under its coordinates.
+    spec = SweepSpec(axis1=axis, range1=rng, fixed=_default_fixed(),
+                     outputs=("log_negativity",))
+    with pytest.raises(ValueError) as info:
+        run_sweep(spec)
+    assert str(info.value) == message
 
 
 def test_run_sweep_entanglement_switches_on_with_drive():

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import cavmag.sweep
 from cavmag import config, verify
 from cavmag.dynamics import StabilityReport
 from cavmag.steadystate import UnstableSystemError
-from cavmag.sweep import GridRow, SweepResult, SweepSpec, fixed_from_values, preset
+from cavmag.sweep import (GridRow, SweepResult, SweepSpec, fixed_from_values, preset,
+                          run_sweep)
 
 
 @pytest.fixture
@@ -56,6 +60,27 @@ def test_criterion_consistency_flags_chain_violation(monkeypatch, e_value, passe
     result = verify.check_criterion_consistency()
     assert result.passed is passed
     assert result.detail.startswith(f"{0 if passed else 3} chain violations")
+
+
+def test_grid_checks_read_coordinates_from_rows(monkeypatch):
+    # Real 5 x 5 grids; zero detuning sits off the centre of the delta_a
+    # range, so reordering the rows moves it.  Checks 5 and 12 must take
+    # every coordinate from the rows, not from the axis1-major layout.
+    def small(name, **ranges):
+        spec = replace(preset(name, points=5), outputs=verify._VERIFY_OUTPUTS, **ranges)
+        return run_sweep(spec)
+
+    sweeps = {"fig2b": small("fig2b", range1=(-1.5e7, 0.5e7, 5)),
+              "fig5b": small("fig5b")}
+    monkeypatch.setattr(verify, "_preset_sweep", lambda name: sweeps[name])
+    in_order = verify.check_phase_invariance()
+    assert verify.check_resonance_optimality().passed and in_order.passed
+    originals = dict(sweeps)
+    for order in (range(24, -1, -1), np.random.default_rng(3).permutation(25)):
+        for name, result in originals.items():
+            sweeps[name] = replace(result, rows=tuple(result.rows[i] for i in order))
+        assert verify.check_resonance_optimality().passed
+        assert verify.check_phase_invariance() == in_order
 
 
 def test_reference_is_the_default_configuration():
