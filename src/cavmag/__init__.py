@@ -24,6 +24,7 @@ from .dynamics import (
 )
 from .steadystate import (
     CovarianceMatrix,
+    TwoModeCM,
     UnstableSystemError,
     propagate_covariance,
     solve_lyapunov,
@@ -33,7 +34,6 @@ from .steadystate import (
 from .measures import (
     CollectiveVariances,
     EntanglementResult,
-    TwoModeCM,
     collective_variances,
     duan_sum,
     input_squeezing_db,

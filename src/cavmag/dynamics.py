@@ -124,7 +124,8 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
     magnon couples to its own thermal bath, contributing
     2 kappa_mi (n_mi + 1/2) times the 2x2 identity.  The blocks sit on the
     diagonal; the baths are mutually uncorrelated.  Above r of about 354
-    the cavity entries overflow a double: OverflowError names r.
+    the cavity entries overflow a double: OverflowError names r.  A D that
+    rounding leaves indefinite (from r of about 9) raises ArithmeticError.
     """
     if drive.r > R_CONDITIONING_LIMIT:
         warnings.warn(
@@ -149,7 +150,13 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
         raise OverflowError(
             f"squeezing parameter r = {drive.r:g} overflows the diffusion matrix: "
             f"its entries of order e^(2r) exceed the largest double")
-    return DiffusionMatrix(d)
+    try:
+        return DiffusionMatrix(d)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ArithmeticError(f"squeezing parameter r = {drive.r:g} loses the "
+                              f"diffusion matrix to rounding: {exc}") from exc
 
 
 def stability_check(a: DriftMatrix | np.ndarray) -> StabilityReport:

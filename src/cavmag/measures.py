@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .steadystate import CovarianceMatrix, _Covariance, _spectrum, symplectic_form
-from .steadystate import symplectic_eigenvalues  # noqa: F401  (re-exported)
+from .steadystate import CovarianceMatrix, TwoModeCM, symplectic_eigenvalues
 
 VACUUM_VARIANCE = 0.5
 
@@ -26,23 +25,9 @@ VACUUM_VARIANCE = 0.5
 DUAN_BOUND = 1.0
 MANCINI_BOUND = 0.25
 
-# Relative imaginary residue tolerated in the partial-transpose spectrum.
-_EIG_IMAG_RTOL = 1e-9
-
 # Partial transposition of the second mode, y2 -> -y2, as the elementwise
 # sign mask of P V P with P = diag(1, 1, 1, -1).
 _PT_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
-
-# i Omega for the two-mode symplectic form.
-_I_OMEGA = 1j * symplectic_form(2)
-
-
-@dataclass(frozen=True)
-class TwoModeCM(_Covariance):
-    """4x4 symmetrized covariance of the magnon pair, basis (dx1, dy1, dx2, dy2)."""
-
-    _DIM = 4
-    _NAME = "two-mode covariance"
 
 
 @dataclass(frozen=True)
@@ -83,23 +68,13 @@ def reduce_to_magnons(cm: CovarianceMatrix) -> TwoModeCM:
 def log_negativity(two_mode: TwoModeCM) -> EntanglementResult:
     """Logarithmic negativity E = max(0, -ln(2 nu_minus)) of a magnon pair.
 
-    nu_minus is the smallest modulus among the eigenvalues of
-    i Omega P V P, with P = diag(1, 1, 1, -1) the partial transposition of
-    the second mode.  The eigenvalues come in +/- pairs that are real for
-    physical input; an imaginary residue above 1e-9 (relative) signals an
-    unphysical covariance matrix and raises ArithmeticError.  The spectrum
-    comes from LAPACK zgeev; a failure there raises
-    numpy.linalg.LinAlgError.
+    nu_minus is the smallest symplectic eigenvalue of P V P, with
+    P = diag(1, 1, 1, -1) the partial transposition of the second mode
+    (Vidal & Werner 2002).  symplectic_eigenvalues owns the spectrum and
+    its errors: an unphysical covariance matrix raises ArithmeticError and
+    a LAPACK zgeev failure numpy.linalg.LinAlgError.
     """
-    eigvals = _spectrum(_I_OMEGA @ (two_mode.v * _PT_SIGNS))
-    scale = max(float(np.abs(eigvals).max()), 1.0)
-    imag_residue = float(np.abs(eigvals.imag).max())
-    if imag_residue > _EIG_IMAG_RTOL * scale:
-        raise ArithmeticError(
-            f"partial-transpose spectrum has imaginary residue "
-            f"{imag_residue:.3e}; the input covariance matrix is unphysical"
-        )
-    return EntanglementResult(float(np.abs(eigvals).min()))
+    return EntanglementResult(float(symplectic_eigenvalues(two_mode.v * _PT_SIGNS)[0]))
 
 
 def collective_variances(cm: CovarianceMatrix) -> CollectiveVariances:

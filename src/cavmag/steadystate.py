@@ -1,11 +1,10 @@
 """Steady-state and transient covariance of the quadrature dynamics.
 
-The stationary covariance matrix V solves A V + V A^T = -D by either of
-two cross-validated backends, each with the same residual bound: a
-Bartels-Stewart solve calling LAPACK dgees and dtrsyl directly (a LAPACK
-failure raises numpy.linalg.LinAlgError), and a dense 36x36 vectorized
-solve.  propagate_covariance steps dV/dt = A V + V A^T + D exactly with
-the matrix exponential, independent of both.
+The covariance types and their symplectic spectrum.  The stationary V
+solves A V + V A^T = -D by either of two cross-validated backends under
+one contract: a Bartels-Stewart solve calling LAPACK dgees and dtrsyl
+directly, and a dense 36x36 vectorized solve.  propagate_covariance steps
+dV/dt = A V + V A^T + D exactly with the matrix exponential.
 """
 
 from __future__ import annotations
@@ -26,6 +25,9 @@ RESIDUAL_RTOL = 1e-10
 # Relative asymmetry tolerated before a covariance matrix is rejected.
 _SYMMETRY_RTOL = 1e-12
 
+# Relative imaginary residue tolerated in a symplectic spectrum.
+_EIG_IMAG_RTOL = 1e-9
+
 
 class UnstableSystemError(RuntimeError):
     """The drift matrix is not asymptotically stable; no steady state exists."""
@@ -42,26 +44,35 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return form
 
 
-def _spectrum(m: np.ndarray) -> np.ndarray:
-    """zgeev eigenvalues of a square matrix; LinAlgError if non-finite or on failure."""
-    if not np.isfinite(m).all():
-        raise np.linalg.LinAlgError("eigenvalue input must be finite")
-    eigvals, _, _, info = lapack.zgeev(m, compute_vl=0, compute_vr=0)
-    _check_info("zgeev", info)
-    return eigvals
+@functools.lru_cache(maxsize=None)
+def _i_symplectic_form(n_modes: int) -> np.ndarray:
+    return 1j * symplectic_form(n_modes)
 
 
-def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a 2n x 2n covariance matrix, ascending.
+def symplectic_eigenvalues(v) -> np.ndarray:
+    """The n distinct moduli of the eigenvalues of i Omega V, ascending.
 
-    The eigenvalues of i*Omega*V come in +/- pairs; the returned array
-    holds the n distinct moduli.  Physical states have all of them >= 1/2
-    in the vacuum-variance-1/2 convention.
+    A physical 2n x 2n covariance gives +/- pairs of real eigenvalues of
+    modulus >= 1/2.  A non-2n x 2n shape raises ValueError; non-finite
+    input and a zgeev failure raise numpy.linalg.LinAlgError; an imaginary
+    residue above 1e-9 (relative) raises ArithmeticError.
     """
     arr = np.asarray(v, dtype=float)
-    n_modes = arr.shape[0] // 2
-    eigvals = _spectrum(1j * symplectic_form(n_modes) @ arr)
-    return np.sort(np.abs(eigvals))[::2]
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 or not arr.size:
+        raise ValueError(f"symplectic spectrum needs a 2n x 2n matrix, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise np.linalg.LinAlgError("eigenvalue input must be finite")
+    eigvals, _, _, info = lapack.zgeev(_i_symplectic_form(arr.shape[0] // 2) @ arr,
+                                       compute_vl=0, compute_vr=0)
+    _check_info("zgeev", info)
+    moduli = np.abs(eigvals)
+    imag_residue = float(np.abs(eigvals.imag).max())
+    if imag_residue > _EIG_IMAG_RTOL * max(float(moduli.max()), 1.0):
+        raise ArithmeticError(
+            f"symplectic spectrum has imaginary residue {imag_residue:.3e}; "
+            f"the matrix is not a physical covariance"
+        )
+    return np.sort(moduli)[::2]
 
 
 @dataclass(frozen=True)
@@ -97,15 +108,20 @@ class _Covariance:
         arr.setflags(write=False)
         object.__setattr__(self, "v", arr)
 
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        return symplectic_eigenvalues(self.v)
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix(_Covariance):
     """6x6 symmetrized quadrature covariance, basis (dX, dY, dx1, dy1, dx2, dy2)."""
 
     _DIM = 6
+
+
+@dataclass(frozen=True)
+class TwoModeCM(_Covariance):
+    """4x4 symmetrized covariance of the magnon pair, basis (dx1, dy1, dx2, dy2)."""
+
+    _DIM = 4
+    _NAME = "two-mode covariance"
 
 
 def _diffusion_array(d) -> np.ndarray:
@@ -125,14 +141,28 @@ def _require_stable(report: StabilityReport) -> None:
         )
 
 
-def _check_residual(a: np.ndarray, d: np.ndarray, v: np.ndarray, solver: str) -> None:
-    residual = float(np.abs(a @ v + v @ a.T + d).max())
-    bound = RESIDUAL_RTOL * float(np.abs(d).max())
-    if residual > bound:
-        raise ArithmeticError(
-            f"{solver}: residual {residual:.3e} exceeds bound {bound:.3e}; "
-            f"the system is near marginal stability or badly conditioned"
-        )
+def _lyapunov_backend(solve):
+    """The contract of every steady-state backend around its raw solve of
+    A V + V A^T = -D: a non-finite D raises ValueError and an unstable A
+    UnstableSystemError; the symmetrized V must meet max|A V + V A^T + D|
+    <= 1e-10 max|D| (a NaN residual fails) or ArithmeticError is raised.
+    """
+    @functools.wraps(solve)
+    def backend(a, d) -> CovarianceMatrix:
+        a_arr, d_arr = _drift_array(a), _diffusion_array(d)
+        _require_stable(stability_check(a_arr))
+        v = solve(a_arr, d_arr)
+        v = 0.5 * (v + v.T)
+        residual = float(np.abs(a_arr @ v + v @ a_arr.T + d_arr).max())
+        bound = RESIDUAL_RTOL * float(np.abs(d_arr).max())
+        if not residual <= bound:
+            raise ArithmeticError(
+                f"{solve.__name__}: residual {residual:.3e} exceeds bound {bound:.3e}; "
+                f"the system is near marginal stability or badly conditioned"
+            )
+        return CovarianceMatrix(v)
+
+    return backend
 
 
 def _no_sort(wr, wi):
@@ -140,54 +170,40 @@ def _no_sort(wr, wi):
     return None
 
 
-def solve_lyapunov(a, d) -> CovarianceMatrix:
+@_lyapunov_backend
+def solve_lyapunov(a, d):
     """Steady-state covariance via the Bartels-Stewart algorithm.
 
     A = U T U^T (dgees), then T Y + Y T^T = U^T (-D) U (dtrsyl) and
     V = U Y U^T: the sequence of scipy.linalg.solve_continuous_lyapunov.
-    Requires an asymptotically stable drift (raises UnstableSystemError
-    otherwise) and a finite diffusion (ValueError); a LAPACK failure
-    raises numpy.linalg.LinAlgError.  The result is explicitly symmetrized
-    and satisfies max|A V + V A^T + D| <= 1e-10 max|D|; a violation raises
-    ArithmeticError with diagnostics instead of returning a bad matrix.
+    A LAPACK failure raises numpy.linalg.LinAlgError.
     """
-    a_arr = _drift_array(a)
-    d_arr = _diffusion_array(d)
-    _require_stable(stability_check(a_arr))
-    t, _, _, _, u, _, info = lapack.dgees(_no_sort, a_arr)
+    t, _, _, _, u, _, info = lapack.dgees(_no_sort, a)
     _check_info("dgees", info)
-    y, scale, info = lapack.dtrsyl(t, t, u.T.dot((-d_arr).dot(u)), tranb="T")
+    y, scale, info = lapack.dtrsyl(t, t, u.T.dot((-d).dot(u)), tranb="T")
     _check_info("dtrsyl", info)
     y *= scale
-    v = u.dot(y).dot(u.T)
-    v = 0.5 * (v + v.T)
-    _check_residual(a_arr, d_arr, v, "solve_lyapunov")
-    return CovarianceMatrix(v)
+    return u.dot(y).dot(u.T)
 
 
-def solve_lyapunov_kron(a, d) -> CovarianceMatrix:
+@_lyapunov_backend
+def solve_lyapunov_kron(a, d):
     """Steady-state covariance via dense vectorization.
 
     Writes the equation as (I (x) A + A (x) I) vec(V) = -vec(D) and solves
     the 36x36 linear system directly.  Independent of solve_lyapunov; the
     two must agree to 1e-9 on any stable input, which the test suite
-    enforces.  Same contract and residual bound as solve_lyapunov.
+    enforces.  A singular system raises ArithmeticError.
     """
-    a_arr = _drift_array(a)
-    d_arr = _diffusion_array(d)
-    _require_stable(stability_check(a_arr))
-    eye = np.eye(a_arr.shape[0])
-    system = np.kron(eye, a_arr) + np.kron(a_arr, eye)
+    eye = np.eye(a.shape[0])
+    system = np.kron(eye, a) + np.kron(a, eye)
     try:
-        vec = np.linalg.solve(system, -d_arr.flatten(order="F"))
+        vec = np.linalg.solve(system, -d.flatten(order="F"))
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             "solve_lyapunov_kron: singular linear system (marginal stability)"
         ) from exc
-    v = vec.reshape(a_arr.shape, order="F")
-    v = 0.5 * (v + v.T)
-    _check_residual(a_arr, d_arr, v, "solve_lyapunov_kron")
-    return CovarianceMatrix(v)
+    return vec.reshape(a.shape, order="F")
 
 
 def propagate_covariance(a, d, v0, t_final: float, dt: float) -> CovarianceMatrix:

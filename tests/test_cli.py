@@ -264,6 +264,34 @@ def test_point_overflowing_r_names_r(capsys, r):
                             f"exceed the largest double\n")
 
 
+def test_point_at_large_r_is_never_a_usage_error(capsys):
+    # D is positive definite in exact arithmetic at every r.  Where rounding
+    # leaves it indefinite (r = 9.5, 10, 10.5, 12 and 18.5 on this grid) the
+    # failure is numerical, exit 2, never exit 1.
+    codes = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for r in (6.0 + 0.5 * k for k in range(69)):
+            codes[r] = main(["point", "--set", f"r={r:g}"])
+    capsys.readouterr()
+    assert [r for r, code in codes.items() if code not in (0, 2)] == []
+    assert all(codes[r] == 2 for r in (9.5, 10.0, 10.5, 12.0, 18.5))
+
+
+def test_point_diffusion_rounding_message(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["point", "--set", "r=10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("warning: squeezing parameter r = 10 makes diffusion "
+                            "entries of order e^(2r); steady-state solves may lose "
+                            "accuracy\n"
+                            "numerical failure: squeezing parameter r = 10 loses the "
+                            "diffusion matrix to rounding: diffusion matrix must be "
+                            "positive semidefinite (smallest eigenvalue -1.490e-07)\n")
+
+
 def test_negative_range_fails_at_its_grid_point(capsys):
     assert main(["sweep", "--preset", "fig3", "--points", "3",
                  "--range", "temperature=-0.1:0.5"]) == 1

@@ -12,7 +12,7 @@ import cavmag.sweep
 from cavmag.cli import main
 from cavmag.config import default_params
 from cavmag.dynamics import DiffusionMatrix, build_diffusion, build_drift, stability_check
-from cavmag.measures import TwoModeCM, log_negativity, reduce_to_magnons
+from cavmag.measures import _PT_SIGNS, TwoModeCM, log_negativity, reduce_to_magnons
 from cavmag.model import DriveParams, Environment, detunings_from
 from cavmag.steadystate import (propagate_covariance, solve_lyapunov, solve_lyapunov_kron,
                                 symplectic_eigenvalues, symplectic_form)
@@ -69,6 +69,8 @@ def test_log_negativity_matches_numpy_eigvals():
         expected = _nu_minus_reference(two_mode.v)
         got = log_negativity(two_mode).nu_minus
         assert abs(got - expected) <= 1e-14 * expected
+        # One routine owns the spectrum: log_negativity adds nothing to it.
+        assert got == symplectic_eigenvalues(two_mode.v * _PT_SIGNS)[0]
 
 
 def test_sweep_path_does_not_use_the_wrappers(monkeypatch):
@@ -150,13 +152,13 @@ def test_symplectic_eigenvalues_call_zgeev_directly(monkeypatch):
         raise AssertionError("numpy eigvals called")
 
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
-    got = cm.symplectic_eigenvalues()
+    got = symplectic_eigenvalues(cm.v)
     assert np.abs(got - expected).max() <= 1e-14 * expected.max()
     with pytest.raises(np.linalg.LinAlgError, match="finite"):
         symplectic_eigenvalues(np.full((4, 4), np.nan))
     _fail_routine(monkeypatch, "zgeev")
     with pytest.raises(np.linalg.LinAlgError, match="zgeev"):
-        cm.symplectic_eigenvalues()
+        symplectic_eigenvalues(cm.v)
 
 
 def test_dsyev_failure_raises_in_diffusion_matrix(monkeypatch):
@@ -164,6 +166,10 @@ def test_dsyev_failure_raises_in_diffusion_matrix(monkeypatch):
     _fail_routine(monkeypatch, "dsyev")
     with pytest.raises(np.linalg.LinAlgError, match="dsyev"):
         DiffusionMatrix(d)
+    # build_diffusion re-raises only the PSD failure as ArithmeticError.
+    params, _ = default_params()
+    with pytest.raises(np.linalg.LinAlgError, match="dsyev"):
+        build_diffusion(params, DriveParams(r=2.0), Environment.from_temperature(0.02, params))
 
 
 @pytest.mark.parametrize("routine", ["dsyev", "dgeev", "dgees", "dtrsyl", "zgeev"])

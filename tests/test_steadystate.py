@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -108,7 +109,7 @@ def test_solution_is_symmetric_and_physical():
     _, drift, diffusion = _reference_system()
     cm = solve_lyapunov(drift, diffusion)
     assert np.array_equal(cm.v, cm.v.T)
-    assert cm.symplectic_eigenvalues().min() >= 0.5 - 1e-9
+    assert symplectic_eigenvalues(cm.v).min() >= 0.5 - 1e-9
 
 
 def test_physicality_across_random_operating_points():
@@ -125,7 +126,7 @@ def test_physicality_across_random_operating_points():
         drive = DriveParams(r=rng.uniform(0, 3), theta=rng.uniform(0, 2 * math.pi))
         drift = build_drift(detunings_from(params), params)
         cm = solve_lyapunov(drift, build_diffusion(params, drive, env))
-        assert cm.symplectic_eigenvalues().min() >= 0.5 - 1e-9
+        assert symplectic_eigenvalues(cm.v).min() >= 0.5 - 1e-9
 
 
 def test_label_swap_permutes_solution():
@@ -309,3 +310,31 @@ def test_symplectic_form_is_constant_and_read_only():
 
 def test_symplectic_eigenvalues_of_vacuum():
     assert np.allclose(symplectic_eigenvalues(0.5 * np.eye(6)), [0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("v", [[[2.0, 3.0], [3.0, 2.0]], np.diag([2.0, -1.0, 1.0, 1.0])])
+def test_symplectic_eigenvalues_reject_unphysical_input(v):
+    # Both give an imaginary +/- pair: no covariance matrix has that spectrum.
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        symplectic_eigenvalues(v)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (4, 6)])
+def test_symplectic_eigenvalues_reject_a_shape_that_is_not_2n_by_2n(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+        symplectic_eigenvalues(np.eye(*shape))
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_nan_residual_is_a_numerical_failure(solver):
+    # max|D| = 1e306 near marginal stability overflows the solve; the
+    # residual is inf for one backend and NaN for the other, and both fail
+    # the residual bound rather than the covariance validation.
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(6, 6))
+    a = a - (np.linalg.eigvals(a).real.max() + 1e-3) * np.eye(6)
+    b = rng.normal(size=(6, 6))
+    d = b @ b.T
+    d = d * (1e306 / np.abs(d).max())
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="residual"):
+        solver(a, d)
