@@ -7,6 +7,7 @@ from .model import (
     Detunings,
     DriveParams,
     Environment,
+    FixedPoint,
     SystemParams,
     detunings_from,
     hz_to_internal,
@@ -18,6 +19,7 @@ from .dynamics import (
     DiffusionMatrix,
     DriftMatrix,
     StabilityReport,
+    UnstableSystemError,
     build_diffusion,
     build_drift,
     stability_check,
@@ -25,7 +27,6 @@ from .dynamics import (
 from .steadystate import (
     CovarianceMatrix,
     TwoModeCM,
-    UnstableSystemError,
     propagate_covariance,
     solve_lyapunov,
     solve_lyapunov_kron,
@@ -43,7 +44,6 @@ from .measures import (
     squeezing_db,
 )
 from .sweep import (
-    FixedPoint,
     SweepResult,
     SweepSpec,
     format_csv,

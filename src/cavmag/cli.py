@@ -21,7 +21,7 @@ import numpy as np
 from . import config
 from . import sweep as sweep_mod
 from . import verify as verify_mod
-from .steadystate import UnstableSystemError
+from .dynamics import UnstableSystemError
 
 class _UsageError(Exception):
     pass
@@ -112,7 +112,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_point(args) -> int:
     file_values, set_values = _load_values(args)
-    fixed = sweep_mod.fixed_from_values(config.merge(file_values, set_values))
+    fixed = config.fixed_from_values(config.merge(file_values, set_values))
     quantities = sweep_mod.point_quantities(sweep_mod.steady_state(fixed)[2])
     print("stability = stable")
     for name, value in quantities.items():

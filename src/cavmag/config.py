@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .model import DriveParams, Environment, SystemParams, hz_to_internal
+from .model import DriveParams, Environment, FixedPoint, SystemParams, hz_to_internal
 
 # Built-in defaults and the only definition of the reference operating
 # point: a 10 GHz cavity with kappa_a/2pi = 5 MHz, magnon linewidths
@@ -103,26 +103,26 @@ def merge(*layers: dict[str, float]) -> dict[str, float]:
     return values
 
 
-def system_params(values: dict[str, float]) -> SystemParams:
-    """Build validated system parameters (internal units) from config values."""
-    return SystemParams(
-        omega_a=hz_to_internal(values["omega_a_hz"]),
-        omega_m1=hz_to_internal(values["omega_m1_hz"]),
-        omega_m2=hz_to_internal(values["omega_m2_hz"]),
-        omega_s=hz_to_internal(values["omega_s_hz"]),
-        kappa_a=hz_to_internal(values["kappa_a_hz"]),
-        kappa_m1=hz_to_internal(values["kappa_m1_hz"]),
-        kappa_m2=hz_to_internal(values["kappa_m2_hz"]),
-        g1=hz_to_internal(values["g1_hz"]),
-        g2=hz_to_internal(values["g2_hz"]),
+def fixed_from_values(values: dict[str, float]) -> FixedPoint:
+    """The operating point (internal units) of a full configuration dict."""
+    return FixedPoint(
+        params=SystemParams(
+            omega_a=hz_to_internal(values["omega_a_hz"]),
+            omega_m1=hz_to_internal(values["omega_m1_hz"]),
+            omega_m2=hz_to_internal(values["omega_m2_hz"]),
+            omega_s=hz_to_internal(values["omega_s_hz"]),
+            kappa_a=hz_to_internal(values["kappa_a_hz"]),
+            kappa_m1=hz_to_internal(values["kappa_m1_hz"]),
+            kappa_m2=hz_to_internal(values["kappa_m2_hz"]),
+            g1=hz_to_internal(values["g1_hz"]),
+            g2=hz_to_internal(values["g2_hz"]),
+        ),
+        drive=DriveParams(r=values["r"], theta=values["theta_rad"]),
+        temperature=values["temperature_k"],
     )
-
-
-def drive_params(values: dict[str, float]) -> DriveParams:
-    return DriveParams(r=values["r"], theta=values["theta_rad"])
 
 
 def default_params() -> tuple[SystemParams, Environment]:
     """System parameters and bath of the reference point (``DEFAULTS``)."""
-    params = system_params(DEFAULTS)
-    return params, Environment.from_temperature(DEFAULTS["temperature_k"], params)
+    point = fixed_from_values(DEFAULTS)
+    return point.params, Environment.from_temperature(point.temperature, point.params)

@@ -79,16 +79,27 @@ class DiffusionMatrix:
             )
 
 
+class UnstableSystemError(RuntimeError):
+    """The drift matrix is not asymptotically stable; no steady state exists."""
+
+
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of the asymptotic-stability test for a drift matrix."""
+    """Largest real part of a drift spectrum; stability follows from it."""
 
-    stable: bool
     max_real_part: float
 
     @property
-    def margin(self) -> float:
-        return -self.max_real_part
+    def stable(self) -> bool:
+        return self.max_real_part < -STABILITY_EPS
+
+    def require(self) -> None:
+        """Raise UnstableSystemError unless the drift is stable."""
+        if not self.stable:
+            raise UnstableSystemError(
+                f"no steady state: largest drift eigenvalue real part is "
+                f"{self.max_real_part:.6e}"
+            )
 
 
 def build_drift(detunings: Detunings, params: SystemParams) -> DriftMatrix:
@@ -124,8 +135,9 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
     magnon couples to its own thermal bath, contributing
     2 kappa_mi (n_mi + 1/2) times the 2x2 identity.  The blocks sit on the
     diagonal; the baths are mutually uncorrelated.  Above r of about 354
-    the cavity entries overflow a double: OverflowError names r.  A D that
-    rounding leaves indefinite (from r of about 9) raises ArithmeticError.
+    the cavity entries overflow a double: OverflowError names r, as it names
+    the bath temperature for overflowing magnon entries.  A D that rounding
+    leaves indefinite (from r of about 9) raises ArithmeticError.
     """
     if drive.r > R_CONDITIONING_LIMIT:
         warnings.warn(
@@ -150,6 +162,10 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
         raise OverflowError(
             f"squeezing parameter r = {drive.r:g} overflows the diffusion matrix: "
             f"its entries of order e^(2r) exceed the largest double")
+    if not (math.isfinite(d[2, 2]) and math.isfinite(d[4, 4])):
+        raise OverflowError(
+            f"magnon bath at T = {env.temperature:g} K overflows the diffusion matrix: "
+            f"its entries 2 kappa_m (n_m + 1/2) exceed the largest double")
     try:
         return DiffusionMatrix(d)
     except np.linalg.LinAlgError:
@@ -173,5 +189,4 @@ def stability_check(a: DriftMatrix | np.ndarray) -> StabilityReport:
         raise np.linalg.LinAlgError("drift matrix must be square and finite")
     wr, _, _, _, info = lapack.dgeev(arr, compute_vl=0, compute_vr=0)
     _check_info("dgeev", info)
-    max_real = float(wr.max())
-    return StabilityReport(stable=max_real < -STABILITY_EPS, max_real_part=max_real)
+    return StabilityReport(max_real_part=float(wr.max()))

@@ -94,6 +94,15 @@ class DriveParams:
 
 
 @dataclass(frozen=True)
+class FixedPoint:
+    """One operating point: system parameters, drive and bath temperature."""
+
+    params: SystemParams
+    drive: DriveParams
+    temperature: float
+
+
+@dataclass(frozen=True)
 class Environment:
     """Bath temperature and the derived mean thermal magnon occupations."""
 
@@ -133,7 +142,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     Returns exactly 0.0 at zero temperature.  The exponent is evaluated
     through expm1, so the result is accurate for hbar*omega << k_B*T and
     underflows cleanly to 0.0 (never NaN or overflow) for
-    hbar*omega >> k_B*T.
+    hbar*omega >> k_B*T.  An occupation beyond the largest double, where
+    hbar*omega / k_B*T is subnormal or underflows to zero, is inf.
     """
     if omega <= 0.0:
         raise ValueError(f"occupation undefined for omega <= 0, got {omega}")
@@ -142,6 +152,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     if temperature == 0.0:
         return 0.0
     x = HBAR * omega / (K_B * temperature)
+    if x == 0.0:  # 1/expm1(x) for a subnormal x is inf already
+        return math.inf
     if x > 700.0:  # exp(x) would overflow; the occupation is below 1e-304
         return 0.0
     return 1.0 / math.expm1(x)

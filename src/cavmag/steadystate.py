@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, lapack
 
-from .dynamics import (DiffusionMatrix, StabilityReport, _check_info, _drift_array,
-                       stability_check)
+from .dynamics import DiffusionMatrix, _check_info, _drift_array, stability_check
 
 # Max-norm residual of A V + V A^T + D, relative to the max-norm of D.
 RESIDUAL_RTOL = 1e-10
@@ -27,10 +26,6 @@ _SYMMETRY_RTOL = 1e-12
 
 # Relative imaginary residue tolerated in a symplectic spectrum.
 _EIG_IMAG_RTOL = 1e-9
-
-
-class UnstableSystemError(RuntimeError):
-    """The drift matrix is not asymptotically stable; no steady state exists."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,15 +127,6 @@ def _diffusion_array(d) -> np.ndarray:
     return arr
 
 
-def _require_stable(report: StabilityReport) -> None:
-    """Raise UnstableSystemError unless the stability check passed."""
-    if not report.stable:
-        raise UnstableSystemError(
-            f"no steady state: largest drift eigenvalue real part is "
-            f"{report.max_real_part:.6e}"
-        )
-
-
 def _lyapunov_backend(solve):
     """The contract of every steady-state backend around its raw solve of
     A V + V A^T = -D: a non-finite D raises ValueError and an unstable A
@@ -150,7 +136,7 @@ def _lyapunov_backend(solve):
     @functools.wraps(solve)
     def backend(a, d) -> CovarianceMatrix:
         a_arr, d_arr = _drift_array(a), _diffusion_array(d)
-        _require_stable(stability_check(a_arr))
+        stability_check(a_arr).require()
         v = solve(a_arr, d_arr)
         v = 0.5 * (v + v.T)
         residual = float(np.abs(a_arr @ v + v @ a_arr.T + d_arr).max())

@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .dynamics import build_diffusion, build_drift, stability_check
+from .config import fixed_from_values
+from .dynamics import UnstableSystemError, build_diffusion, build_drift, stability_check
 from .measures import (
     DUAN_BOUND,
     MANCINI_BOUND,
@@ -35,15 +36,14 @@ from .measures import (
     squeezing_db,
 )
 from .model import (
-    DriveParams,
     Environment,
-    SystemParams,
+    FixedPoint,
     TWO_PI,
     detunings_from,
     hz_to_internal,
     internal_to_hz,
 )
-from .steadystate import UnstableSystemError, _require_stable, solve_lyapunov
+from .steadystate import solve_lyapunov
 
 QUANTITIES = (
     "log_negativity",
@@ -57,15 +57,6 @@ QUANTITIES = (
 )
 
 DEFAULT_POINTS = 101
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    """One operating point: system parameters, drive and bath temperature."""
-
-    params: SystemParams
-    drive: DriveParams
-    temperature: float
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class GridRow:
-    """One grid point: axis values, stability flag and output values.
+    """One grid point: axis values and output values.
 
     values is None when the point is unstable; stable rows carry one float
     per requested output, in spec order.
@@ -165,8 +156,11 @@ class GridRow:
 
     axis1_value: float
     axis2_value: float | None
-    stable: bool
     values: tuple[float, ...] | None
+
+    @property
+    def stable(self) -> bool:
+        return self.values is not None
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,7 @@ def steady_state(point: FixedPoint):
     """
     params = point.params
     drift = build_drift(detunings_from(params), params)
-    _require_stable(stability_check(drift))
+    stability_check(drift).require()
     env = Environment.from_temperature(point.temperature, params)
     diffusion = build_diffusion(params, point.drive, env)
     return drift, diffusion, solve_lyapunov(drift, diffusion)
@@ -247,11 +241,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 try:
                     _, _, cm = steady_state(point)
                 except UnstableSystemError:
-                    rows.append(GridRow(v1, v2, False, None))
+                    rows.append(GridRow(v1, v2, None))
                 else:
                     quantities = point_quantities(cm)
                     values = tuple([quantities[n] for n in spec.outputs])
-                    rows.append(GridRow(v1, v2, True, values))
+                    rows.append(GridRow(v1, v2, values))
         except Exception as exc:
             where = ", ".join(f"{axis.column} = {_fmt(v)}"
                               for axis, v in ((axis1, v1), (axis2, v2)) if v is not None)
@@ -346,15 +340,6 @@ _PRESETS = {
 }
 
 PRESET_NAMES = tuple(_PRESETS)
-
-
-def fixed_from_values(values: dict[str, float]) -> FixedPoint:
-    """Build the fixed parameter set from a full configuration dict."""
-    return FixedPoint(
-        params=config.system_params(values),
-        drive=config.drive_params(values),
-        temperature=values["temperature_k"],
-    )
 
 
 def preset(name: str, points: int = DEFAULT_POINTS,

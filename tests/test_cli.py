@@ -5,8 +5,7 @@ import pytest
 import cavmag.sweep
 import cavmag.verify
 from cavmag.cli import main
-from cavmag.dynamics import StabilityReport
-from cavmag.steadystate import UnstableSystemError
+from cavmag.dynamics import StabilityReport, UnstableSystemError
 from cavmag.verify import CriterionResult, VerificationReport
 
 
@@ -236,7 +235,7 @@ def test_point_unstable_drift_exits_2(monkeypatch, capsys):
 
     def unstable(drift):
         calls.append(drift)
-        return StabilityReport(stable=False, max_real_part=0.5)
+        return StabilityReport(max_real_part=0.5)
 
     monkeypatch.setattr(cavmag.sweep, "stability_check", unstable)
     assert main(["point"]) == 2
@@ -262,6 +261,20 @@ def test_point_overflowing_r_names_r(capsys, r):
                             f"numerical failure: squeezing parameter r = {r} overflows "
                             f"the diffusion matrix: its entries of order e^(2r) "
                             f"exceed the largest double\n")
+
+
+@pytest.mark.parametrize("setting, temperature", [
+    ("temperature_k=5e307", "5e+307"),  # finite occupations, overflowing noise entries
+    ("temperature_k=1e308", "1e+308"),  # the occupations themselves overflow
+    ("omega_m1_hz=1e-300", "0.02"),     # hbar*omega underflows to zero
+])
+def test_point_bath_overflow_names_the_bath(capsys, setting, temperature):
+    assert main(["point", "--set", setting]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"numerical failure: magnon bath at T = {temperature} K "
+                            f"overflows the diffusion matrix: its entries "
+                            f"2 kappa_m (n_m + 1/2) exceed the largest double\n")
 
 
 def test_point_at_large_r_is_never_a_usage_error(capsys):
@@ -290,6 +303,18 @@ def test_point_diffusion_rounding_message(capsys):
                             "numerical failure: squeezing parameter r = 10 loses the "
                             "diffusion matrix to rounding: diffusion matrix must be "
                             "positive semidefinite (smallest eigenvalue -1.490e-07)\n")
+
+
+def test_sweep_certification_violation_writes_no_file(monkeypatch, tmp_path, capsys):
+    violation = "line 2: duan_sum = 0.5 < 1 but log_negativity = 0.0"
+    monkeypatch.setattr(cavmag.sweep, "check_certification_chain",
+                        lambda text: [violation])
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--preset", "fig3", "--points", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: internal consistency violated: {violation}\n"
+    assert not out.exists()
 
 
 def test_negative_range_fails_at_its_grid_point(capsys):

@@ -1,7 +1,8 @@
 import pytest
 
 import cavmag
-from cavmag import config
+import cavmag.sweep
+from cavmag import config, dynamics, model, verify
 from cavmag.model import internal_to_hz
 
 
@@ -68,10 +69,18 @@ def test_defaults_cover_all_keys():
 
 
 def test_system_params_conversion():
-    params = config.system_params(config.merge())
+    params = config.fixed_from_values(config.merge()).params
     assert params.omega_a == 10000.0
     assert params.kappa_a == 5.0
     assert params.g1 == 20.0
+
+
+def test_fixed_from_values_of_defaults_is_the_reference_point():
+    assert config.fixed_from_values(config.DEFAULTS) == verify._reference()
+    assert type(verify._reference()) is model.FixedPoint
+    assert cavmag.FixedPoint is cavmag.sweep.FixedPoint is model.FixedPoint
+    assert cavmag.sweep.fixed_from_values is config.fixed_from_values
+    assert cavmag.UnstableSystemError is dynamics.UnstableSystemError
 
 
 def test_load_config(tmp_path):

@@ -1,13 +1,16 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from cavmag.config import default_params
 from cavmag.dynamics import (
+    STABILITY_EPS,
     DiffusionMatrix,
     DriftMatrix,
+    StabilityReport,
+    UnstableSystemError,
     build_diffusion,
     build_drift,
     stability_check,
@@ -169,13 +172,41 @@ def test_diffusion_validation():
         DiffusionMatrix(indefinite)
 
 
+@pytest.mark.parametrize("cls, attr", [(DriftMatrix, "a"), (DiffusionMatrix, "d")])
+def test_matrix_types_reject_wrong_shape_and_non_finite(cls, attr):
+    with pytest.raises(ValueError, match=rf"^{attr} must have shape \(6, 6\), got \(5, 6\)$"):
+        cls(np.zeros((5, 6)))
+    for bad in (math.nan, math.inf):
+        arr = np.eye(6)
+        arr[2, 2] = bad
+        with pytest.raises(ValueError, match=f"^{attr} must be finite$"):
+            cls(arr)
+
+
+def test_stability_report_holds_only_the_largest_real_part():
+    assert [f.name for f in fields(StabilityReport)] == ["max_real_part"]
+    below = math.nextafter(-STABILITY_EPS, -math.inf)
+    for max_real, stable in ((below, True), (-1.0, True), (-STABILITY_EPS, False),
+                             (-0.5 * STABILITY_EPS, False), (0.0, False), (5.0, False),
+                             (math.nan, False)):
+        assert StabilityReport(max_real_part=max_real).stable is stable, max_real
+
+
+def test_stability_report_require():
+    assert StabilityReport(max_real_part=-1.0).require() is None
+    for max_real, text in ((0.5, "5.000000e-01"), (-STABILITY_EPS, "-1.000000e-09")):
+        with pytest.raises(UnstableSystemError) as info:
+            StabilityReport(max_real_part=max_real).require()
+        assert str(info.value) == ("no steady state: largest drift eigenvalue real "
+                                   f"part is {text}")
+
+
 def test_stability_decoupled():
     params, _ = default_params()
     params = replace(params, g1=0.0, g2=0.0)
     report = stability_check(build_drift(Detunings(0.0, 0.0, 0.0), params))
     assert report.stable
     assert report.max_real_part == pytest.approx(-params.kappa_m1, rel=1e-12)
-    assert report.margin == -report.max_real_part
 
 
 def test_stability_at_defaults():

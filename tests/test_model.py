@@ -43,6 +43,12 @@ def test_thermal_occupation_extreme_ratio_underflows_cleanly():
     assert n == 0.0 and not math.isnan(n)
 
 
+def test_thermal_occupation_beyond_double_range_is_inf():
+    # hbar*omega underflows to zero, then hbar*omega / k_B*T is subnormal
+    assert thermal_occupation(1e-290, 0.02) == math.inf
+    assert thermal_occupation(2 * math.pi * 10e9, 1e308) == math.inf
+
+
 def test_thermal_occupation_monotonic_in_temperature():
     omega = 2 * math.pi * 10e9
     values = [thermal_occupation(omega, t) for t in (0.01, 0.05, 0.2, 1.0, 5.0)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cavmag.config import default_params
-from cavmag.dynamics import build_diffusion, build_drift
+from cavmag.dynamics import UnstableSystemError, build_diffusion, build_drift
 from cavmag.model import (
     DriveParams,
     Environment,
@@ -15,7 +15,6 @@ from cavmag.model import (
 )
 from cavmag.steadystate import (
     CovarianceMatrix,
-    UnstableSystemError,
     propagate_covariance,
     solve_lyapunov,
     solve_lyapunov_kron,
@@ -207,6 +206,12 @@ def test_propagate_step_guard():
     _, drift, diffusion = _reference_system()
     with pytest.raises(ValueError, match="dt"):
         propagate_covariance(drift, diffusion, 0.5 * np.eye(6), 1.0, 0.1)
+
+
+def test_propagate_rejects_wrong_shaped_v0():
+    _, drift, diffusion = _reference_system()
+    with pytest.raises(ValueError, match=r"^v0 must have shape \(6, 6\), got \(4, 4\)$"):
+        propagate_covariance(drift, diffusion, 0.5 * np.eye(4), 1.0, 0.001)
 
 
 def test_propagate_zero_time_returns_initial_state():

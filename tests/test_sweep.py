@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -51,6 +51,23 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="^temperature: range bounds must be finite"):
             SweepSpec(axis1="r", range1=(0, 1, 3), axis2="temperature",
                       range2=(lo, hi, 3), fixed=fixed, outputs=("log_negativity",))
+    with pytest.raises(ValueError, match="^axis2 given without range2$"):
+        SweepSpec(axis1="r", range1=(0, 1, 3), axis2="theta", fixed=fixed,
+                  outputs=("log_negativity",))
+    with pytest.raises(ValueError, match="^range2 given without axis2$"):
+        SweepSpec(axis1="r", range1=(0, 1, 3), range2=(0, 1, 3), fixed=fixed,
+                  outputs=("log_negativity",))
+    with pytest.raises(ValueError, match="^at least one output quantity is required$"):
+        SweepSpec(axis1="r", range1=(0, 1, 3), fixed=fixed, outputs=())
+    with pytest.raises(ValueError, match="^duplicate output quantities$"):
+        SweepSpec(axis1="r", range1=(0, 1, 3), fixed=fixed,
+                  outputs=("var_x1", "duan_sum", "var_x1"))
+
+
+def test_grid_row_stability_follows_its_values():
+    assert [f.name for f in fields(GridRow)] == ["axis1_value", "axis2_value", "values"]
+    assert GridRow(0.0, None, None).stable is False
+    assert GridRow(0.0, 1.0, (0.5,)).stable is True
 
 
 # One value per axis, away from the default configuration.
@@ -331,8 +348,8 @@ def _unstable_every(monkeypatch, period):
     def fake_stability_check(drift):
         calls.append(drift)
         if len(calls) % period == 0:
-            return StabilityReport(stable=False, max_real_part=1.0)
-        return StabilityReport(stable=True, max_real_part=-1.0)
+            return StabilityReport(max_real_part=1.0)
+        return StabilityReport(max_real_part=-1.0)
 
     monkeypatch.setattr(sweep_mod, "stability_check", fake_stability_check)
     return calls
@@ -399,8 +416,8 @@ def test_sweep_result_column_lookup():
 def test_format_csv_round_trip_manual_rows():
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), fixed=_default_fixed(),
                      outputs=("var_x1",))
-    rows = (GridRow(0.0, None, True, (0.123456789012345678,)),
-            GridRow(1.0, None, False, None))
+    rows = (GridRow(0.0, None, (0.123456789012345678,)),
+            GridRow(1.0, None, None))
     text = format_csv(SweepResult(spec=spec, rows=rows))
     assert text == ("r,var_x1,stability\n"
                     "0,0.12345678901234568,stable\n"

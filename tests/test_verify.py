@@ -5,10 +5,9 @@ import pytest
 
 import cavmag.sweep
 from cavmag import config, verify
-from cavmag.dynamics import StabilityReport
-from cavmag.steadystate import UnstableSystemError
-from cavmag.sweep import (GridRow, SweepResult, SweepSpec, fixed_from_values, preset,
-                          run_sweep)
+from cavmag.config import fixed_from_values
+from cavmag.dynamics import StabilityReport, UnstableSystemError
+from cavmag.sweep import GridRow, SweepResult, SweepSpec, preset, run_sweep
 
 
 @pytest.fixture
@@ -53,8 +52,8 @@ def test_criterion_consistency_flags_chain_violation(monkeypatch, e_value, passe
     # One stable row with duan_sum < 1: it must come with E > 0.
     spec = SweepSpec(axis1="delta_a", range1=(0.0, 1.0, 2),
                      fixed=preset("fig2b").fixed, outputs=verify._VERIFY_OUTPUTS)
-    rows = (GridRow(0.0, None, True, (e_value, 0.5, 0.3, 0.4)),
-            GridRow(1.0, None, False, None))
+    rows = (GridRow(0.0, None, (e_value, 0.5, 0.3, 0.4)),
+            GridRow(1.0, None, None))
     monkeypatch.setattr(verify, "_preset_sweep",
                         lambda name: SweepResult(spec=spec, rows=rows))
     result = verify.check_criterion_consistency()
@@ -95,6 +94,6 @@ _POINT_CHECKS = [verify.ALL_CHECKS[i - 1] for i in (1, 2, 4, 6, 9, 10, 11, 13)]
 @pytest.mark.parametrize("check", _POINT_CHECKS, ids=lambda check: check.__name__)
 def test_point_checks_raise_when_unstable(monkeypatch, check):
     monkeypatch.setattr(cavmag.sweep, "stability_check",
-                        lambda drift: StabilityReport(stable=False, max_real_part=0.5))
+                        lambda drift: StabilityReport(max_real_part=0.5))
     with pytest.raises(UnstableSystemError, match="^no steady state"):
         check()
