@@ -6,13 +6,15 @@ Subcommands:
     verify  run the reference checks and print a pass/fail table
     point   evaluate all measures at a single operating point
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 verification failure.
+Exit codes, mapped from exception families in ``main`` alone: 0 success, 1 usage
+error (ValueError, OSError), 2 numerical failure (ArithmeticError, LinAlgError),
+3 verification failure, 141 (128 + SIGPIPE) when stdout's reader has closed it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -21,15 +23,11 @@ import numpy as np
 from . import config
 from . import sweep as sweep_mod
 from . import verify as verify_mod
-from .dynamics import UnstableSystemError
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _add_config_options(parser):
@@ -125,22 +123,24 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
     # Warnings print as one line without the library's source location;
     # the caller's handler is restored on return.
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return args.handler(args)
+            args = _build_parser().parse_args(argv)
+            status = args.handler(args)
+            sys.stdout.flush()  # a closed stdout must fail here, not at exit
+            return status
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
+        except BrokenPipeError:  # stdout's reader left; the final flush must not fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
         # LinAlgError subclasses ValueError, so it must be caught first.
-        except (UnstableSystemError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
         except (ValueError, OSError) as exc:

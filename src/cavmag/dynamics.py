@@ -79,7 +79,7 @@ class DiffusionMatrix:
             )
 
 
-class UnstableSystemError(RuntimeError):
+class UnstableSystemError(ArithmeticError):
     """The drift matrix is not asymptotically stable; no steady state exists."""
 
 

@@ -139,7 +139,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     temperature : float
         Bath temperature in K.
 
-    Returns exactly 0.0 at zero temperature.  The exponent is evaluated
+    Returns exactly 0.0 where k_B*T is zero, at T = 0 or where it
+    underflows (T below about 1.8e-301 K).  The exponent is evaluated
     through expm1, so the result is accurate for hbar*omega << k_B*T and
     underflows cleanly to 0.0 (never NaN or overflow) for
     hbar*omega >> k_B*T.  An occupation beyond the largest double, where
@@ -149,7 +150,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError(f"occupation undefined for omega <= 0, got {omega}")
     if temperature < 0.0:
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
-    if temperature == 0.0:
+    if K_B * temperature == 0.0:  # T = 0, or k_B T underflows
         return 0.0
     x = HBAR * omega / (K_B * temperature)
     if x == 0.0:  # 1/expm1(x) for a subnormal x is inf already

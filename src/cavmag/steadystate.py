@@ -179,16 +179,11 @@ def solve_lyapunov_kron(a, d):
     Writes the equation as (I (x) A + A (x) I) vec(V) = -vec(D) and solves
     the 36x36 linear system directly.  Independent of solve_lyapunov; the
     two must agree to 1e-9 on any stable input, which the test suite
-    enforces.  A singular system raises ArithmeticError.
+    enforces.  A singular system raises numpy.linalg.LinAlgError.
     """
     eye = np.eye(a.shape[0])
     system = np.kron(eye, a) + np.kron(a, eye)
-    try:
-        vec = np.linalg.solve(system, -d.flatten(order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            "solve_lyapunov_kron: singular linear system (marginal stability)"
-        ) from exc
+    vec = np.linalg.solve(system, -d.flatten(order="F"))
     return vec.reshape(a.shape, order="F")
 
 

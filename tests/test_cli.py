@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -277,6 +280,13 @@ def test_point_bath_overflow_names_the_bath(capsys, setting, temperature):
                             f"2 kappa_m (n_m + 1/2) exceed the largest double\n")
 
 
+def test_point_where_k_b_t_underflows_is_the_zero_temperature_point(capsys):
+    assert main(["point", "--set", "temperature_k=0"]) == 0
+    at_zero = capsys.readouterr()
+    assert main(["point", "--set", "temperature_k=1e-310"]) == 0
+    assert capsys.readouterr() == at_zero
+
+
 def test_point_at_large_r_is_never_a_usage_error(capsys):
     # D is positive definite in exact arithmetic at every r.  Where rounding
     # leaves it indefinite (r = 9.5, 10, 10.5, 12 and 18.5 on this grid) the
@@ -342,3 +352,24 @@ def test_verify_exit_codes(monkeypatch, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "sweep" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("args", [["sweep", "--preset", "fig3", "--points", "3"],
+                                  ["point"]], ids=["sweep", "point"])
+def test_closed_stdout_exits_141_quietly(args, unbuffered):
+    # The reader of stdout has gone: the conventional SIGPIPE status, and
+    # nothing on stderr, not even from the interpreter's final flush.  An
+    # unbuffered stdout fails at the first write, a buffered one at the flush.
+    src = os.path.dirname(os.path.dirname(cavmag.__file__))
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-X", "dev", "-m", "cavmag.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -201,6 +201,11 @@ def test_stability_report_require():
                                    f"part is {text}")
 
 
+def test_unstable_system_error_is_an_arithmetic_error():
+    # Generic numerical handlers catch "no steady state" without naming it.
+    assert issubclass(UnstableSystemError, ArithmeticError)
+
+
 def test_stability_decoupled():
     params, _ = default_params()
     params = replace(params, g1=0.0, g2=0.0)

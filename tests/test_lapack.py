@@ -137,6 +137,20 @@ def test_schur_solve_failure_raises_in_solve_lyapunov(monkeypatch, routine):
         solve_lyapunov(a, d)
 
 
+def test_kron_solve_failure_raises_lin_alg_error(monkeypatch):
+    # Both backends report a failed factorization as LinAlgError.
+    a, d = _reference_system()
+    error = np.linalg.LinAlgError("Singular matrix")
+
+    def singular(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        solve_lyapunov_kron(a, d)
+    assert info.value is error
+
+
 def test_zgeev_failure_raises_in_log_negativity(monkeypatch):
     two_mode = reduce_to_magnons(solve_lyapunov(*_reference_system()))
     _fail_routine(monkeypatch, "zgeev")

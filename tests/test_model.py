@@ -24,6 +24,11 @@ def test_thermal_occupation_zero_temperature():
         assert thermal_occupation(omega, 0.0) == 0.0
 
 
+def test_thermal_occupation_where_k_b_t_underflows_is_zero():
+    # K_B * 5e-324 rounds to 0.0; the occupation is 0 to double precision.
+    assert thermal_occupation(2 * math.pi * 10e9, 5e-324) == 0.0
+
+
 def test_thermal_occupation_reference_value():
     n = thermal_occupation(2 * math.pi * 10e9, 0.02)
     assert n == pytest.approx(N_TH_10GHZ_20MK, rel=1e-12)

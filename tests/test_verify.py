@@ -82,6 +82,15 @@ def test_grid_checks_read_coordinates_from_rows(monkeypatch):
         assert verify.check_phase_invariance() == in_order
 
 
+def test_run_verification_numbers_the_checks_in_order(monkeypatch):
+    # 5-point grids stand in for the presets.  The tracer's verify.check_NN
+    # labels, the acceptance test ids and _POINT_CHECKS below all take a
+    # check's number to be its place in ALL_CHECKS.
+    monkeypatch.setattr(verify, "preset", lambda name: preset(name, points=5))
+    report = verify.run_verification()
+    assert [r.number for r in report.results] == list(range(1, 14))
+
+
 def test_reference_is_the_default_configuration():
     assert verify._reference() == fixed_from_values(config.merge())
     assert verify._reference(r=1.0) == fixed_from_values(config.merge({"r": 1.0}))
