@@ -29,6 +29,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    # --help must reach main's BrokenPipeError clause like any other output:
+    # argparse's writer swallows OSError, and a buffered help text would
+    # otherwise fail only at the interpreter's final flush.  print_usage is
+    # reached only from error, which raises instead.
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()
+        super().exit(status, message)
+
 
 def _add_config_options(parser):
     parser.add_argument("--config", metavar="PATH",

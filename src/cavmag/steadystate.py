@@ -4,7 +4,8 @@ The covariance types and their symplectic spectrum.  The stationary V
 solves A V + V A^T = -D by either of two cross-validated backends under
 one contract: a Bartels-Stewart solve calling LAPACK dgees and dtrsyl
 directly, and a dense 36x36 vectorized solve.  propagate_covariance steps
-dV/dt = A V + V A^T + D exactly with the matrix exponential.
+dV/dt = A V + V A^T + D exactly with the matrix exponential, applying the
+n steps in O(log n) products by doubling.
 """
 
 from __future__ import annotations
@@ -181,8 +182,12 @@ def solve_lyapunov_kron(a, d):
     two must agree to 1e-9 on any stable input, which the test suite
     enforces.  A singular system raises numpy.linalg.LinAlgError.
     """
-    eye = np.eye(a.shape[0])
-    system = np.kron(eye, a) + np.kron(a, eye)
+    n = a.shape[0]
+    eye = np.eye(n)
+    # I (x) A + A (x) I by broadcasting: each entry is the same product
+    # with an exact 0.0 or 1.0 that np.kron forms, so the sum is bit-identical.
+    system = (eye[:, None, :, None] * a[None, :, None, :]
+              + a[:, None, :, None] * eye[None, :, None, :]).reshape(n * n, n * n)
     vec = np.linalg.solve(system, -d.flatten(order="F"))
     return vec.reshape(a.shape, order="F")
 
@@ -190,15 +195,18 @@ def solve_lyapunov_kron(a, d):
 def propagate_covariance(a, d, v0, t_final: float, dt: float) -> CovarianceMatrix:
     """Propagate dV/dt = A V + V A^T + D from v0 to t_final, exactly.
 
-    Each of the n = ceil(t_final / dt) steps of h = t_final / n applies
-    V <- Phi V Phi^T + Q with Phi = e^{A h} and Q = int_0^h e^{A s} D
-    e^{A^T s} ds, both from one expm of [[-A, D], [0, A^T]] h (Van Loan
-    1978): Phi is its lower-right block transposed, Q is Phi times its
-    upper-right block.  dt * ||A||_2 <= 1 bounds the e^{||A|| h} growth of
-    the -A corner; within it the result is independent of dt up to
-    rounding.  Time is in the reciprocal unit of ``a`` and ``d``
-    (1/(2 pi MHz) internally).  V is symmetrized after every step and
-    t_final = 0 returns v0; no Lyapunov solve is used.  A non-finite
+    The interval is cut into n = ceil(t_final / dt) steps of h = t_final / n;
+    each applies V <- Phi V Phi^T + Q with Phi = e^{A h} and Q = int_0^h
+    e^{A s} D e^{A^T s} ds, both from one expm of [[-A, D], [0, A^T]] h
+    (Van Loan 1978): Phi is its lower-right block transposed, Q is Phi
+    times its upper-right block.  The n steps are applied by doubling:
+    two steps of (Phi, Q) are one step of (Phi^2, Phi Q Phi^T + Q), so the
+    cost is O(log n) 6x6 products and ``dt`` only sets the exact step h.
+    dt * ||A||_2 <= 1 bounds the e^{||A|| h} growth of the -A corner;
+    within it the result is independent of dt up to rounding.  Time is in
+    the reciprocal unit of ``a`` and ``d`` (1/(2 pi MHz) internally).  V is
+    symmetrized after every applied block and Q after every doubling;
+    t_final = 0 returns v0 and no Lyapunov solve is used.  A non-finite
     diffusion raises ValueError.
     """
     a_arr = _drift_array(a)
@@ -226,7 +234,16 @@ def propagate_covariance(a, d, v0, t_final: float, dt: float) -> CovarianceMatri
              * (t_final / n_steps))
     phi = f[n:, n:].T
     q = phi @ f[:n, n:]
-    for _ in range(n_steps):
-        v = phi @ v @ phi.T + q
-        v = 0.5 * (v + v.T)
-    return CovarianceMatrix(v)
+    # (phi, q) applies 2^k steps at binary digit k of n_steps; the blocks
+    # are powers of one affine map, so they commute and the digits can be
+    # taken lowest first.
+    while True:
+        if n_steps & 1:
+            v = phi @ v @ phi.T + q
+            v = 0.5 * (v + v.T)
+        n_steps >>= 1
+        if not n_steps:
+            return CovarianceMatrix(v)
+        q = phi @ q @ phi.T + q
+        q = 0.5 * (q + q.T)
+        phi = phi @ phi

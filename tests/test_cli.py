@@ -356,7 +356,8 @@ def test_help_exits_zero(capsys):
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("args", [["sweep", "--preset", "fig3", "--points", "3"],
-                                  ["point"]], ids=["sweep", "point"])
+                                  ["point"], ["--help"], ["sweep", "--help"]],
+                         ids=["sweep", "point", "help", "sweep-help"])
 def test_closed_stdout_exits_141_quietly(args, unbuffered):
     # The reader of stdout has gone: the conventional SIGPIPE status, and
     # nothing on stderr, not even from the interpreter's final flush.  An

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cavmag.config import default_params
 from cavmag.dynamics import UnstableSystemError, build_diffusion, build_drift
@@ -87,6 +88,35 @@ def test_backends_agree_on_random_systems():
         v1 = solve_lyapunov(a, d).v
         v2 = solve_lyapunov_kron(a, d).v
         assert np.abs(v1 - v2).max() <= 1e-9
+
+
+def test_kron_system_is_bit_identical_to_np_kron(monkeypatch):
+    # The broadcast assembly of I (x) A + A (x) I must equal np.kron's,
+    # signs of zeros included; the system is taken from the call to solve,
+    # which is not carried out (a sparse random A may make it singular).
+    systems = []
+
+    def capture(system, rhs):
+        systems.append(system)
+        return np.zeros_like(rhs)
+
+    rng = np.random.default_rng(7)
+    drifts = []
+    for _ in range(50):
+        a = rng.normal(size=(6, 6))
+        a[rng.random((6, 6)) < 0.3] = 0.0
+        a[rng.random((6, 6)) < 0.3] = -0.0
+        drifts.append(a)
+    _, drift, diffusion = _reference_system()
+    drifts.append(drift.a)
+    monkeypatch.setattr(np.linalg, "solve", capture)
+    for a in drifts:
+        solve_lyapunov_kron.__wrapped__(a, diffusion.d)
+    eye = np.eye(6)
+    for a, system in zip(drifts, systems, strict=True):
+        expected = np.kron(eye, a) + np.kron(a, eye)
+        assert np.array_equal(system, expected)
+        assert np.array_equal(np.signbit(system), np.signbit(expected))
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -261,6 +291,44 @@ def test_propagate_independent_of_step():
     coarse = propagate_covariance(a, d, v0, 5.0, 1.0 / a_norm).v
     fine = propagate_covariance(a, d, v0, 5.0, 0.1 / a_norm).v
     assert np.abs(coarse - fine).max() <= 1e-13 * np.abs(fine).max()
+
+
+def _van_loan_loop(a, d, v0, t_final, n_steps):
+    """The n_steps Van Loan steps of propagate_covariance applied one after
+    another: an oracle for its doubling (error O(n_steps) roundings)."""
+    n = a.shape[0]
+    f = expm(np.block([[-a, d], [np.zeros_like(a), a.T]]) * (t_final / n_steps))
+    phi = f[n:, n:].T
+    q = phi @ f[:n, n:]
+    v = np.array(v0, dtype=float)
+    for _ in range(n_steps):
+        v = phi @ v @ phi.T + q
+        v = 0.5 * (v + v.T)
+    return v
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 8, 1000, 1523])
+def test_propagate_doubling_matches_sequential_steps(n_steps):
+    _, drift, diffusion = _reference_system(delta_a_kappas=3.0)
+    a, d = drift.a, diffusion.d
+    a_norm = np.linalg.norm(a, 2)
+    v0 = 0.5 * np.eye(6)
+    t_final = 0.45 * n_steps / a_norm
+    dt = t_final / (n_steps - 0.5)
+    assert math.ceil(t_final / dt) == n_steps
+    doubled = propagate_covariance(a, d, v0, t_final, dt).v
+    oracle = _van_loan_loop(a, d, v0, t_final, n_steps)
+    assert np.abs(doubled - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def test_propagate_huge_step_count_reaches_steady_state():
+    # About 1e12 steps at the guard limit: a loop over the steps would not
+    # finish, the doubling takes about 40 squarings.
+    _, drift, diffusion = _reference_system()
+    steady = solve_lyapunov(drift, diffusion)
+    dt = 1.0 / np.linalg.norm(drift.a, 2)
+    cm = propagate_covariance(drift, diffusion, 0.5 * np.eye(6), 1e12 * dt, dt)
+    assert np.abs(cm.v - steady.v).max() <= 1e-6
 
 
 @pytest.mark.parametrize("t_final, dt, name", [
