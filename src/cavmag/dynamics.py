@@ -59,6 +59,15 @@ def _drift_array(a) -> np.ndarray:
     return a.a if isinstance(a, DriftMatrix) else np.asarray(a, dtype=float)
 
 
+def _checked_drift_array(a) -> np.ndarray:
+    """The drift as an array; numpy.linalg.LinAlgError unless it is square
+    and finite."""
+    arr = _drift_array(a)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all():
+        raise np.linalg.LinAlgError("drift matrix must be square and finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class DiffusionMatrix:
     """6x6 real symmetric positive-semidefinite noise matrix, same basis."""
@@ -184,9 +193,7 @@ def stability_check(a: DriftMatrix | np.ndarray) -> StabilityReport:
     numpy.linalg.LinAlgError; the check never reports "stable" without a
     converged spectrum.
     """
-    arr = _drift_array(a)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all():
-        raise np.linalg.LinAlgError("drift matrix must be square and finite")
+    arr = _checked_drift_array(a)
     wr, _, _, _, info = lapack.dgeev(arr, compute_vl=0, compute_vr=0)
     _check_info("dgeev", info)
     return StabilityReport(max_real_part=float(wr.max()))

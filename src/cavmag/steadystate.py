@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, lapack
 
-from .dynamics import DiffusionMatrix, _check_info, _drift_array, stability_check
+from .dynamics import (DiffusionMatrix, _check_info, _checked_drift_array, _drift_array,
+                       stability_check)
 
 # Max-norm residual of A V + V A^T + D, relative to the max-norm of D.
 RESIDUAL_RTOL = 1e-10
@@ -120,9 +121,12 @@ class TwoModeCM(_Covariance):
     _NAME = "two-mode covariance"
 
 
-def _diffusion_array(d) -> np.ndarray:
-    """The diffusion as an array; ValueError unless every entry is finite."""
+def _diffusion_array(d, shape) -> np.ndarray:
+    """The diffusion as an array; ValueError unless it has the drift's
+    ``shape`` and every entry is finite."""
     arr = d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"diffusion matrix must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("diffusion matrix must be finite")
     return arr
@@ -130,14 +134,17 @@ def _diffusion_array(d) -> np.ndarray:
 
 def _lyapunov_backend(solve):
     """The contract of every steady-state backend around its raw solve of
-    A V + V A^T = -D: a non-finite D raises ValueError and an unstable A
-    UnstableSystemError; the symmetrized V must meet max|A V + V A^T + D|
-    <= 1e-10 max|D| (a NaN residual fails) or ArithmeticError is raised.
+    A V + V A^T = -D: a non-square or non-finite A raises
+    numpy.linalg.LinAlgError, an unstable A UnstableSystemError, and a D
+    of another shape or with a non-finite entry ValueError; the
+    symmetrized V must meet max|A V + V A^T + D| <= 1e-10 max|D| (a NaN
+    residual fails) or ArithmeticError is raised.
     """
     @functools.wraps(solve)
     def backend(a, d) -> CovarianceMatrix:
-        a_arr, d_arr = _drift_array(a), _diffusion_array(d)
+        a_arr = _drift_array(a)
         stability_check(a_arr).require()
+        d_arr = _diffusion_array(d, a_arr.shape)
         v = solve(a_arr, d_arr)
         v = 0.5 * (v + v.T)
         residual = float(np.abs(a_arr @ v + v @ a_arr.T + d_arr).max())
@@ -163,13 +170,20 @@ def solve_lyapunov(a, d):
 
     A = U T U^T (dgees), then T Y + Y T^T = U^T (-D) U (dtrsyl) and
     V = U Y U^T: the sequence of scipy.linalg.solve_continuous_lyapunov.
-    A LAPACK failure raises numpy.linalg.LinAlgError.
+    A LAPACK failure raises numpy.linalg.LinAlgError.  dtrsyl solves
+    T Y + Y T^T = scale C, with scale < 1 only where Y would overflow
+    (from max|D| of about 3e292); such a solve raises ArithmeticError
+    naming the scale rather than return a rescaled Y.
     """
     t, _, _, _, u, _, info = lapack.dgees(_no_sort, a)
     _check_info("dgees", info)
     y, scale, info = lapack.dtrsyl(t, t, u.T.dot((-d).dot(u)), tranb="T")
     _check_info("dtrsyl", info)
-    y *= scale
+    if scale != 1.0:
+        raise ArithmeticError(
+            f"solve_lyapunov: dtrsyl scaled the solution by {scale:.3e} to avoid "
+            f"overflow; the diffusion is too large for a double-precision solve"
+        )
     return u.dot(y).dot(u.T)
 
 
@@ -206,11 +220,12 @@ def propagate_covariance(a, d, v0, t_final: float, dt: float) -> CovarianceMatri
     within it the result is independent of dt up to rounding.  Time is in
     the reciprocal unit of ``a`` and ``d`` (1/(2 pi MHz) internally).  V is
     symmetrized after every applied block and Q after every doubling;
-    t_final = 0 returns v0 and no Lyapunov solve is used.  A non-finite
-    diffusion raises ValueError.
+    t_final = 0 returns v0 and no Lyapunov solve is used.  A non-square or
+    non-finite drift raises numpy.linalg.LinAlgError, and a diffusion of
+    another shape or with a non-finite entry ValueError.
     """
-    a_arr = _drift_array(a)
-    d_arr = _diffusion_array(d)
+    a_arr = _checked_drift_array(a)
+    d_arr = _diffusion_array(d, a_arr.shape)
     v = np.array(v0.v if isinstance(v0, CovarianceMatrix) else v0, dtype=float)
     if v.shape != a_arr.shape:
         raise ValueError(f"v0 must have shape {a_arr.shape}, got {v.shape}")

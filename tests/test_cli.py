@@ -12,6 +12,17 @@ from cavmag.dynamics import StabilityReport, UnstableSystemError
 from cavmag.verify import CriterionResult, VerificationReport
 
 
+def _failure(capsys, code, *args):
+    """stderr of `cavmag *args`, which must exit with ``code`` and print
+    nothing on stdout; library warnings are printed, not raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(list(args)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 def test_point_prints_all_measures(capsys):
     assert main(["point"]) == 0
     out = capsys.readouterr().out
@@ -87,30 +98,26 @@ def test_sweep_set_override_changes_grid(capsys):
 
 
 def test_unknown_preset_is_usage_error(capsys):
-    assert main(["sweep", "--preset", "fig99"]) == 1
-    assert "usage error" in capsys.readouterr().err
+    assert "usage error" in _failure(capsys, 1, "sweep", "--preset", "fig99")
 
 
 def test_bad_set_key_is_usage_error(capsys):
-    assert main(["point", "--set", "bogus=1"]) == 1
-    assert "unknown key" in capsys.readouterr().err
+    assert "unknown key" in _failure(capsys, 1, "point", "--set", "bogus=1")
 
 
 def test_non_finite_set_value_names_the_key(capsys):
-    assert main(["point", "--set", "temperature_k=nan"]) == 1
-    err = capsys.readouterr().err
+    err = _failure(capsys, 1, "point", "--set", "temperature_k=nan")
     assert "usage error" in err and "'temperature_k' must be finite" in err
 
 
 def test_bad_range_axis_is_usage_error(capsys):
-    assert main(["sweep", "--preset", "fig3", "--points", "3",
-                 "--range", "r=0:1"]) == 1
-    assert "not swept" in capsys.readouterr().err
+    assert "not swept" in _failure(capsys, 1, "sweep", "--preset", "fig3", "--points", "3",
+                                   "--range", "r=0:1")
 
 
 def test_malformed_range_is_usage_error(capsys):
-    assert main(["sweep", "--preset", "fig3", "--range", "temperature=5"]) == 1
-    assert "MIN:MAX" in capsys.readouterr().err
+    assert "MIN:MAX" in _failure(capsys, 1, "sweep", "--preset", "fig3", "--range",
+                                 "temperature=5")
 
 
 def test_missing_config_file_is_usage_error(capsys, tmp_path):
@@ -178,11 +185,9 @@ def test_set_on_a_swept_key_is_usage_error(capsys, preset, sets):
     args = ["sweep", "--preset", preset, "--points", "3"]
     for item in sets:
         args += ["--set", item]
-    assert main(args) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "usage error" in captured.err and "--range" in captured.err
-    assert any(f"'{item.split('=')[0]}'" in captured.err for item in sets)
+    err = _failure(capsys, 1, *args)
+    assert "usage error" in err and "--range" in err
+    assert any(f"'{item.split('=')[0]}'" in err for item in sets)
 
 
 def test_config_file_may_set_swept_keys(tmp_path, capsys):
@@ -197,40 +202,30 @@ def test_config_file_may_set_swept_keys(tmp_path, capsys):
     ("fig2b", "delta_m=-inf:0"),
 ])
 def test_non_finite_range_names_the_axis(capsys, preset, bounds):
-    args = ["sweep", "--preset", preset, "--points", "3", "--range", bounds]
-    assert main(args) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
+    err = _failure(capsys, 1, "sweep", "--preset", preset, "--points", "3", "--range", bounds)
     axis = bounds.split("=")[0]
-    assert f"usage error: {axis}: range bounds must be finite" in captured.err
+    assert f"usage error: {axis}: range bounds must be finite" in err
 
 
 def test_failing_grid_point_is_named_with_unchanged_exit_code(monkeypatch, capsys):
     # Usage error: the magnon detuning makes omega_m1 negative.
-    assert main(["sweep", "--preset", "fig2b", "--points", "3",
-                 "--range", "delta_m=-2e10:0"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
+    assert _failure(capsys, 1, "sweep", "--preset", "fig2b", "--points", "3",
+                    "--range", "delta_m=-2e10:0").startswith(
         "usage error: delta_a_hz = -15000000, delta_m_hz = -20000000000: omega_m1")
 
     def explode(drift, diffusion):
         raise ArithmeticError("residual exceeds bound")
 
     monkeypatch.setattr(cavmag.sweep, "solve_lyapunov", explode)
-    assert main(["sweep", "--preset", "fig3", "--points", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("numerical failure: temperature_k = 0: "
-                            "residual exceeds bound\n")
+    assert _failure(capsys, 2, "sweep", "--preset", "fig3", "--points", "3") == (
+        "numerical failure: temperature_k = 0: residual exceeds bound\n")
 
 
 def test_point_numerical_failure_exit_code(monkeypatch, capsys):
     def explode(fixed):
         raise UnstableSystemError("no steady state")
     monkeypatch.setattr(cavmag.sweep, "steady_state", explode)
-    assert main(["point"]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+    assert "numerical failure" in _failure(capsys, 2, "point")
 
 
 def test_point_unstable_drift_exits_2(monkeypatch, capsys):
@@ -241,29 +236,21 @@ def test_point_unstable_drift_exits_2(monkeypatch, capsys):
         return StabilityReport(max_real_part=0.5)
 
     monkeypatch.setattr(cavmag.sweep, "stability_check", unstable)
-    assert main(["point"]) == 2
+    err = _failure(capsys, 2, "point")
     assert len(calls) == 1  # the unstable point is evaluated once
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("numerical failure: no steady state: largest drift "
-                            "eigenvalue real part is 5.000000e-01\n")
+    assert err == ("numerical failure: no steady state: largest drift "
+                   "eigenvalue real part is 5.000000e-01\n")
 
 
 @pytest.mark.parametrize("r", ["355", "400", "800"])
 def test_point_overflowing_r_names_r(capsys, r):
     # The cavity noise grows like e^(2r) and leaves the double range near
     # r = 354: a numerical failure that names r, not an errno tuple.
-    with warnings.catch_warnings():
-        warnings.simplefilter("default")
-        assert main(["point", "--set", f"r={r}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"warning: squeezing parameter r = {r} makes diffusion "
-                            f"entries of order e^(2r); steady-state solves may lose "
-                            f"accuracy\n"
-                            f"numerical failure: squeezing parameter r = {r} overflows "
-                            f"the diffusion matrix: its entries of order e^(2r) "
-                            f"exceed the largest double\n")
+    assert _failure(capsys, 2, "point", "--set", f"r={r}") == (
+        f"warning: squeezing parameter r = {r} makes diffusion entries of order e^(2r); "
+        f"steady-state solves may lose accuracy\n"
+        f"numerical failure: squeezing parameter r = {r} overflows the diffusion matrix: "
+        f"its entries of order e^(2r) exceed the largest double\n")
 
 
 @pytest.mark.parametrize("setting, temperature", [
@@ -272,12 +259,9 @@ def test_point_overflowing_r_names_r(capsys, r):
     ("omega_m1_hz=1e-300", "0.02"),     # hbar*omega underflows to zero
 ])
 def test_point_bath_overflow_names_the_bath(capsys, setting, temperature):
-    assert main(["point", "--set", setting]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"numerical failure: magnon bath at T = {temperature} K "
-                            f"overflows the diffusion matrix: its entries "
-                            f"2 kappa_m (n_m + 1/2) exceed the largest double\n")
+    assert _failure(capsys, 2, "point", "--set", setting) == (
+        f"numerical failure: magnon bath at T = {temperature} K overflows the diffusion "
+        f"matrix: its entries 2 kappa_m (n_m + 1/2) exceed the largest double\n")
 
 
 def test_point_where_k_b_t_underflows_is_the_zero_temperature_point(capsys):
@@ -302,17 +286,26 @@ def test_point_at_large_r_is_never_a_usage_error(capsys):
 
 
 def test_point_diffusion_rounding_message(capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("default")
-        assert main(["point", "--set", "r=10"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("warning: squeezing parameter r = 10 makes diffusion "
-                            "entries of order e^(2r); steady-state solves may lose "
-                            "accuracy\n"
-                            "numerical failure: squeezing parameter r = 10 loses the "
-                            "diffusion matrix to rounding: diffusion matrix must be "
-                            "positive semidefinite (smallest eigenvalue -1.490e-07)\n")
+    assert _failure(capsys, 2, "point", "--set", "r=10") == (
+        "warning: squeezing parameter r = 10 makes diffusion entries of order e^(2r); "
+        "steady-state solves may lose accuracy\n"
+        "numerical failure: squeezing parameter r = 10 loses the diffusion matrix to "
+        "rounding: diffusion matrix must be positive semidefinite (smallest eigenvalue "
+        "-1.490e-07)\n")
+
+
+@pytest.mark.parametrize("setting, warning, scale", [
+    ("temperature_k=1e300", "", "2.876e-302"),
+    ("r=336", "warning: squeezing parameter r = 336 makes diffusion entries of order "
+              "e^(2r); steady-state solves may lose accuracy\n", "4.220e-294"),
+], ids=["temperature_k=1e300", "r=336"])
+def test_point_refuses_a_rescaled_schur_solve(capsys, setting, warning, scale):
+    # dtrsyl lowers its scale below 1 only where the solution would
+    # overflow; the rescaled solution is refused, not printed.
+    assert _failure(capsys, 2, "point", "--set", setting) == (
+        f"{warning}numerical failure: solve_lyapunov: dtrsyl scaled the solution by "
+        f"{scale} to avoid overflow; the diffusion is too large for a double-precision "
+        f"solve\n")
 
 
 def test_sweep_certification_violation_writes_no_file(monkeypatch, tmp_path, capsys):
@@ -320,20 +313,17 @@ def test_sweep_certification_violation_writes_no_file(monkeypatch, tmp_path, cap
     monkeypatch.setattr(cavmag.sweep, "check_certification_chain",
                         lambda text: [violation])
     out = tmp_path / "out.csv"
-    assert main(["sweep", "--preset", "fig3", "--points", "3", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"numerical failure: internal consistency violated: {violation}\n"
+    assert _failure(capsys, 2, "sweep", "--preset", "fig3", "--points", "3",
+                    "--out", str(out)) == (
+        f"numerical failure: internal consistency violated: {violation}\n")
     assert not out.exists()
 
 
 def test_negative_range_fails_at_its_grid_point(capsys):
-    assert main(["sweep", "--preset", "fig3", "--points", "3",
-                 "--range", "temperature=-0.1:0.5"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("usage error: temperature_k = -0.10000000000000001: "
-                            "temperature must be nonnegative, got -0.1\n")
+    assert _failure(capsys, 1, "sweep", "--preset", "fig3", "--points", "3",
+                    "--range", "temperature=-0.1:0.5") == (
+        "usage error: temperature_k = -0.10000000000000001: temperature must be "
+        "nonnegative, got -0.1\n")
 
 
 def test_verify_exit_codes(monkeypatch, capsys):

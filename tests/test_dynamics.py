@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from _systems import rotation
 from cavmag.config import default_params
 from cavmag.dynamics import (
     STABILITY_EPS,
@@ -36,15 +37,6 @@ def _random_params(rng):
         g1=rng.uniform(0.0, 25.0),
         g2=rng.uniform(0.0, 25.0),
     )
-
-
-def _rotation6(phi):
-    c, s = math.cos(phi), math.sin(phi)
-    block = np.array([[c, s], [-s, c]])
-    out = np.zeros((6, 6))
-    for k in range(3):
-        out[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
-    return out
 
 
 def test_drift_decoupled_damped_modes():
@@ -146,10 +138,10 @@ def test_global_rotation_covariance():
     params = replace(params, omega_a=10003.0, omega_m1=9998.5, omega_m2=10001.2)
     a = build_drift(detunings_from(params), params).a
     for phi in (0.3, 1.7):
-        rot = _rotation6(phi)
+        rot = rotation(phi, phi, phi)
         assert np.allclose(rot @ a @ rot.T, a, rtol=0.0, atol=1e-12 * np.abs(a).max())
     phi, theta = 0.3, 1.1
-    rot = _rotation6(phi)
+    rot = rotation(phi, phi, phi)
     d_theta = build_diffusion(params, DriveParams(2.0, theta), env).d
     d_shift = build_diffusion(params, DriveParams(2.0, theta - 2 * phi), env).d
     assert np.allclose(rot @ d_theta @ rot.T, d_shift,

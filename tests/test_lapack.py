@@ -1,7 +1,10 @@
 """The per-point path calls LAPACK directly (dgeev, dgees + dtrsyl, zgeev,
 dsyev).  These tests pin those calls to the numpy/scipy wrappers they
-replace, and pin their error contract: non-finite input is rejected before
-LAPACK runs, and a nonzero LAPACK info code raises LinAlgError."""
+replace, and pin their error contract: non-finite or misshapen input is
+rejected before LAPACK runs, and a nonzero LAPACK info code raises
+LinAlgError."""
+
+import re
 
 import numpy as np
 import pytest
@@ -9,33 +12,21 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 import cavmag.sweep
+from _systems import random_stable_systems, reference_point, reference_system
 from cavmag.cli import main
-from cavmag.config import default_params
-from cavmag.dynamics import DiffusionMatrix, build_diffusion, build_drift, stability_check
+from cavmag.dynamics import DiffusionMatrix, stability_check
 from cavmag.measures import _PT_SIGNS, TwoModeCM, log_negativity, reduce_to_magnons
-from cavmag.model import DriveParams, Environment, detunings_from
 from cavmag.steadystate import (propagate_covariance, solve_lyapunov, solve_lyapunov_kron,
                                 symplectic_eigenvalues, symplectic_form)
 
 
 def _reference_system():
-    params, _ = default_params()
-    env = Environment.from_temperature(0.02, params)
-    drift = build_drift(detunings_from(params), params)
-    return drift.a, build_diffusion(params, DriveParams(r=2.0), env).d
-
-
-def _random_stable_systems(count=20, seed=7):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        a = rng.normal(size=(6, 6))
-        a = a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(6)
-        b = rng.normal(size=(6, 6))
-        yield a, b @ b.T
+    _, drift, diffusion = reference_system()
+    return drift.a, diffusion.d
 
 
 def _systems():
-    return [_reference_system(), *_random_stable_systems()]
+    return [_reference_system(), *random_stable_systems(20, 7)]
 
 
 def _nu_minus_reference(v):
@@ -99,16 +90,33 @@ def test_non_square_drift_raises_linalg_error():
         stability_check(-np.ones((6, 5)))
 
 
+def _propagate(a, d):
+    return propagate_covariance(a, d, 0.5 * np.eye(6), 0.0, 0.001)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_raw_diffusion_raises_value_error(bad):
     a, d = _reference_system()
     d = d.copy()
     d[0, 1] = d[1, 0] = bad
     # Every consumer rejects it up front, even a propagation of zero length.
-    for solve in (solve_lyapunov, solve_lyapunov_kron,
-                  lambda a, d: propagate_covariance(a, d, 0.5 * np.eye(6), 0.0, 0.001)):
+    for solve in (solve_lyapunov, solve_lyapunov_kron, _propagate):
         with pytest.raises(ValueError, match="^diffusion matrix must be finite$"):
             solve(a, d)
+
+
+@pytest.mark.parametrize("routine, a, d, error, message", [
+    *((routine, -np.eye(6), d, ValueError, f"diffusion matrix must have shape (6, 6), got {shape}")
+      for routine in (solve_lyapunov, solve_lyapunov_kron, _propagate)
+      for d, shape in ((2.0, ()), (np.eye(4), (4, 4)))),
+    *((_propagate, a, np.eye(6), np.linalg.LinAlgError, "drift matrix must be square and finite")
+      for a in (np.diag([-1.0, np.nan, -1.0, -1.0, -1.0, -1.0]), -np.ones((6, 5)))),
+])
+def test_misshapen_or_non_finite_input_fails_up_front(routine, a, d, error, message):
+    # One input contract for every routine that takes a drift and a
+    # diffusion, checked before the input reaches numpy or LAPACK.
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        routine(a, d)
 
 
 def _fail_routine(monkeypatch, name):
@@ -177,13 +185,13 @@ def test_symplectic_eigenvalues_call_zgeev_directly(monkeypatch):
 
 def test_dsyev_failure_raises_in_diffusion_matrix(monkeypatch):
     _, d = _reference_system()
+    point = reference_point()
     _fail_routine(monkeypatch, "dsyev")
     with pytest.raises(np.linalg.LinAlgError, match="dsyev"):
         DiffusionMatrix(d)
     # build_diffusion re-raises only the PSD failure as ArithmeticError.
-    params, _ = default_params()
     with pytest.raises(np.linalg.LinAlgError, match="dsyev"):
-        build_diffusion(params, DriveParams(r=2.0), Environment.from_temperature(0.02, params))
+        cavmag.sweep.steady_state(point)
 
 
 @pytest.mark.parametrize("routine", ["dsyev", "dgeev", "dgees", "dtrsyl", "zgeev"])

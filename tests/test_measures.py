@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _systems import V_X1_REFERENCE, reference_system, rotation
 from cavmag.config import default_params
 from cavmag.dynamics import build_diffusion, build_drift
 from cavmag.measures import (
@@ -28,14 +29,10 @@ from cavmag.steadystate import CovarianceMatrix, solve_lyapunov, solve_lyapunov_
 # (r = 2, theta = 0, 20 mK, zero detunings).
 E_REFERENCE = 0.8382942380746955
 NU_MINUS_REFERENCE = 0.21622377360877568
-V_X1_REFERENCE = 0.29675272028902244
 
 
-def _reference_cm(r=2.0, theta=0.0, temperature=0.02, solver=solve_lyapunov):
-    params, _ = default_params()
-    env = Environment.from_temperature(temperature, params)
-    drift = build_drift(detunings_from(params), params)
-    return solver(drift, build_diffusion(params, DriveParams(r=r, theta=theta), env))
+def _reference_cm(solver=solve_lyapunov, **config_keys):
+    return solver(*reference_system(**config_keys)[1:])
 
 
 def _tmsv(s):
@@ -47,16 +44,6 @@ def _tmsv(s):
         [q, 0, c, 0],
         [0, -q, 0, c],
     ]))
-
-
-def _rotation4(phi1, phi2):
-    def rot(phi):
-        c, s = math.cos(phi), math.sin(phi)
-        return np.array([[c, s], [-s, c]])
-    out = np.zeros((4, 4))
-    out[:2, :2] = rot(phi1)
-    out[2:, 2:] = rot(phi2)
-    return out
 
 
 def test_reduce_identity():
@@ -96,7 +83,7 @@ def test_log_negativity_reference_regression():
 
 
 def test_log_negativity_label_swap_invariance():
-    two_mode = reduce_to_magnons(_reference_cm(theta=0.7))
+    two_mode = reduce_to_magnons(_reference_cm(theta_rad=0.7))
     perm = np.zeros((4, 4))
     perm[0, 2] = perm[1, 3] = perm[2, 0] = perm[3, 1] = 1.0
     swapped = TwoModeCM(perm @ two_mode.v @ perm.T)
@@ -108,16 +95,16 @@ def test_log_negativity_local_rotation_invariance():
     two_mode = reduce_to_magnons(_reference_cm())
     reference = log_negativity(two_mode).log_negativity
     for phi1, phi2 in ((0.4, 1.9), (2.8, 0.3), (1.1, 1.1)):
-        rot = _rotation4(phi1, phi2)
+        rot = rotation(phi1, phi2)
         rotated = TwoModeCM(rot @ two_mode.v @ rot.T)
         assert log_negativity(rotated).log_negativity == pytest.approx(
             reference, abs=1e-10)
 
 
 def test_log_negativity_theta_invariance():
-    reference = log_negativity(reduce_to_magnons(_reference_cm(theta=0.0)))
+    reference = log_negativity(reduce_to_magnons(_reference_cm(theta_rad=0.0)))
     for theta in (0.7, 2.1):
-        result = log_negativity(reduce_to_magnons(_reference_cm(theta=theta)))
+        result = log_negativity(reduce_to_magnons(_reference_cm(theta_rad=theta)))
         assert result.log_negativity == pytest.approx(
             reference.log_negativity, abs=1e-9)
 
@@ -175,7 +162,7 @@ def test_collective_sum_is_basis_rotation():
     # var_Mx + var_mx reproduces <dx1^2> + <dx2^2>; the rotation is
     # orthogonal, so the identity holds to the last rounding (2 ulp)
     for theta in (0.0, 1.3, 2.9):
-        cm = _reference_cm(theta=theta)
+        cm = _reference_cm(theta_rad=theta)
         cv = collective_variances(cm)
         sum_x = cm.v[2, 2] + cm.v[4, 4]
         sum_y = cm.v[3, 3] + cm.v[5, 5]
@@ -216,7 +203,7 @@ def test_mancini_product_reference_point():
 def test_criteria_certify_only_entangled_states():
     # sufficient, not necessary: below-bound values must imply E > 0
     for theta in (0.0, 1.0):
-        cm = _reference_cm(theta=theta)
+        cm = _reference_cm(theta_rad=theta)
         e_value = log_negativity(reduce_to_magnons(cm)).log_negativity
         if duan_sum(cm) < 1.0 or mancini_product(cm) < 0.25:
             assert e_value > 0.0

@@ -10,7 +10,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavmag import config
+from _systems import reference_point
 from cavmag.sweep import point_quantities, steady_state
 
 _MODE_HZ = st.floats(10e9 - 15e6, 10e9 + 15e6)
@@ -29,8 +29,7 @@ _POINTS = st.fixed_dictionaries({
 
 
 def _log_negativity(values):
-    point = config.fixed_from_values(config.merge(values))
-    return point_quantities(steady_state(point)[2])["log_negativity"]
+    return point_quantities(steady_state(reference_point(**values))[2])["log_negativity"]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -1,12 +1,12 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cavmag.config import default_params
+from _systems import V_X1_REFERENCE, random_stable_systems, reference_system, rotation
+from cavmag.config import DEFAULTS
 from cavmag.dynamics import UnstableSystemError, build_diffusion, build_drift
 from cavmag.model import (
     DriveParams,
@@ -23,68 +23,36 @@ from cavmag.steadystate import (
     symplectic_form,
 )
 
-# Steady-state <dx1^2> at the reference point (r = 2, theta = 0, 20 mK),
-# frozen from the vectorized 36x36 backend.
-V_X1_REFERENCE = 0.29675272028902244
-
 SOLVERS = (solve_lyapunov, solve_lyapunov_kron)
-
-
-def _reference_system(r=2.0, theta=0.0, temperature=0.02, delta_a_kappas=0.0):
-    # delta_a_kappas detunes the cavity from the drive, in units of kappa_a
-    params, _ = default_params()
-    params = replace(params, omega_a=params.omega_a + delta_a_kappas * params.kappa_a)
-    env = Environment.from_temperature(temperature, params)
-    drift = build_drift(detunings_from(params), params)
-    diffusion = build_diffusion(params, DriveParams(r=r, theta=theta), env)
-    return params, drift, diffusion
-
-
-def _rotation6(phi):
-    c, s = math.cos(phi), math.sin(phi)
-    block = np.array([[c, s], [-s, c]])
-    out = np.zeros((6, 6))
-    for k in range(3):
-        out[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
-    return out
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_vacuum_fixed_point(solver):
     # decoupled modes with vacuum inputs settle at variance 1/2, any detuning
-    params, _ = default_params()
-    params = replace(params, g1=0.0, g2=0.0, omega_a=10004.0, omega_m1=9997.0)
-    drift = build_drift(detunings_from(params), params)
-    diffusion = build_diffusion(params, DriveParams(r=0.0), Environment(0.0, 0.0, 0.0))
+    _, drift, diffusion = reference_system(g1_hz=0.0, g2_hz=0.0, omega_a_hz=10004e6,
+                                           omega_m1_hz=9997e6, r=0.0, temperature_k=0.0)
     cm = solver(drift, diffusion)
     assert np.abs(cm.v - 0.5 * np.eye(6)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_thermal_fixed_point(solver):
-    params, _ = default_params()
-    params = replace(params, g1=0.0, g2=0.0)
+    params, drift, _ = reference_system(g1_hz=0.0, g2_hz=0.0)
     env = Environment(temperature=0.1, n_m1=0.37, n_m2=0.11)
-    drift = build_drift(detunings_from(params), params)
     cm = solver(drift, build_diffusion(params, DriveParams(r=0.0), env))
     assert np.allclose(cm.v[2:4, 2:4], (env.n_m1 + 0.5) * np.eye(2), rtol=0, atol=1e-14)
     assert np.allclose(cm.v[4:6, 4:6], (env.n_m2 + 0.5) * np.eye(2), rtol=0, atol=1e-14)
 
 
 def test_reference_point_regression():
-    _, drift, diffusion = _reference_system()
+    _, drift, diffusion = reference_system()
     for solver in SOLVERS:
         cm = solver(drift, diffusion)
         assert cm.v[2, 2] == pytest.approx(V_X1_REFERENCE, rel=1e-10)
 
 
 def test_backends_agree_on_random_systems():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        a = rng.normal(size=(6, 6))
-        a = a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(6)
-        b = rng.normal(size=(6, 6))
-        d = b @ b.T
+    for a, d in random_stable_systems(20, 42):
         v1 = solve_lyapunov(a, d).v
         v2 = solve_lyapunov_kron(a, d).v
         assert np.abs(v1 - v2).max() <= 1e-9
@@ -107,7 +75,7 @@ def test_kron_system_is_bit_identical_to_np_kron(monkeypatch):
         a[rng.random((6, 6)) < 0.3] = 0.0
         a[rng.random((6, 6)) < 0.3] = -0.0
         drifts.append(a)
-    _, drift, diffusion = _reference_system()
+    _, drift, diffusion = reference_system()
     drifts.append(drift.a)
     monkeypatch.setattr(np.linalg, "solve", capture)
     for a in drifts:
@@ -121,7 +89,7 @@ def test_kron_system_is_bit_identical_to_np_kron(monkeypatch):
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_residual_bound(solver):
-    _, drift, diffusion = _reference_system()
+    _, drift, diffusion = reference_system()
     v = solver(drift, diffusion).v
     residual = np.abs(drift.a @ v + v @ drift.a.T + diffusion.d).max()
     assert residual < 1e-10 * np.abs(diffusion.d).max()
@@ -135,7 +103,7 @@ def test_unstable_system_raises(solver):
 
 
 def test_solution_is_symmetric_and_physical():
-    _, drift, diffusion = _reference_system()
+    _, drift, diffusion = reference_system()
     cm = solve_lyapunov(drift, diffusion)
     assert np.array_equal(cm.v, cm.v.T)
     assert symplectic_eigenvalues(cm.v).min() >= 0.5 - 1e-9
@@ -180,14 +148,12 @@ def test_label_swap_permutes_solution():
 
 def test_phase_rotates_solution_locally():
     # V(theta) = R(-theta/2) V(0) R(-theta/2)^T applied to every mode
-    _, drift, d0 = _reference_system(theta=0.0)
-    params, _ = default_params()
-    env = Environment.from_temperature(0.02, params)
+    _, drift, d0 = reference_system(theta_rad=0.0)
     v0 = solve_lyapunov(drift, d0).v
     for theta in (math.pi / 4, math.pi / 2, math.pi):
-        d_theta = build_diffusion(params, DriveParams(r=2.0, theta=theta), env)
+        _, _, d_theta = reference_system(theta_rad=theta)
         v_theta = solve_lyapunov(drift, d_theta).v
-        rot = _rotation6(-theta / 2.0)
+        rot = rotation(*3 * [-theta / 2.0])
         assert np.abs(v_theta - rot @ v0 @ rot.T).max() <= 1e-9
 
 
@@ -202,7 +168,7 @@ def test_propagate_closed_form_decay():
 
 
 def test_propagate_reaches_steady_state():
-    params, drift, diffusion = _reference_system()
+    params, drift, diffusion = reference_system()
     steady = solve_lyapunov(drift, diffusion)
     dt = 0.1 / (np.linalg.norm(drift.a, 2) * 1.25)
     cm = propagate_covariance(drift, diffusion, 0.5 * np.eye(6),
@@ -211,7 +177,7 @@ def test_propagate_reaches_steady_state():
 
 
 def test_propagate_stationary_at_fixed_point():
-    params, drift, diffusion = _reference_system()
+    params, drift, diffusion = reference_system()
     steady = solve_lyapunov(drift, diffusion)
     cm = propagate_covariance(drift, diffusion, steady,
                               10.0 / params.kappa_m1, 0.0025)
@@ -221,10 +187,7 @@ def test_propagate_stationary_at_fixed_point():
 def test_propagate_dark_mode_stays_at_vacuum():
     # equal couplings, zero magnon detunings, T = 0: the difference mode
     # never couples, so var_my stays exactly at 1/2 along the transient
-    params, _ = default_params()
-    env = Environment.from_temperature(0.0, params)
-    drift = build_drift(detunings_from(params), params)
-    diffusion = build_diffusion(params, DriveParams(r=2.0), env)
+    _, drift, diffusion = reference_system(temperature_k=0.0)
     cm = CovarianceMatrix(0.5 * np.eye(6))
     for segment in (1.0, 4.0, 15.0, 30.0):
         cm = propagate_covariance(drift, diffusion, cm, segment, 0.0025)
@@ -233,19 +196,19 @@ def test_propagate_dark_mode_stays_at_vacuum():
 
 
 def test_propagate_step_guard():
-    _, drift, diffusion = _reference_system()
+    _, drift, diffusion = reference_system()
     with pytest.raises(ValueError, match="dt"):
         propagate_covariance(drift, diffusion, 0.5 * np.eye(6), 1.0, 0.1)
 
 
 def test_propagate_rejects_wrong_shaped_v0():
-    _, drift, diffusion = _reference_system()
+    _, drift, diffusion = reference_system()
     with pytest.raises(ValueError, match=r"^v0 must have shape \(6, 6\), got \(4, 4\)$"):
         propagate_covariance(drift, diffusion, 0.5 * np.eye(4), 1.0, 0.001)
 
 
 def test_propagate_zero_time_returns_initial_state():
-    _, drift, diffusion = _reference_system()
+    _, drift, diffusion = reference_system()
     v0 = 0.5 * np.eye(6)
     cm = propagate_covariance(drift, diffusion, v0, 0.0, 0.001)
     assert np.array_equal(cm.v, v0)
@@ -274,7 +237,8 @@ def _rk4_propagate(a, d, v0, t_final, dt):
 def test_propagate_matches_rk4_oracle(delta_a_kappas, t_final):
     # exact steps at the guard limit against RK4 at dt * ||A|| = 0.02,
     # before the state has relaxed to the steady state
-    _, drift, diffusion = _reference_system(delta_a_kappas=delta_a_kappas)
+    _, drift, diffusion = reference_system(
+        omega_a_hz=DEFAULTS["omega_a_hz"] + delta_a_kappas * DEFAULTS["kappa_a_hz"])
     a, d = drift.a, diffusion.d
     a_norm = np.linalg.norm(a, 2)
     v0 = 0.5 * np.eye(6)
@@ -284,12 +248,11 @@ def test_propagate_matches_rk4_oracle(delta_a_kappas, t_final):
 
 
 def test_propagate_independent_of_step():
-    _, drift, diffusion = _reference_system()
-    a, d = drift.a, diffusion.d
-    a_norm = np.linalg.norm(a, 2)
+    _, drift, diffusion = reference_system()
+    a_norm = np.linalg.norm(drift.a, 2)
     v0 = 0.5 * np.eye(6)
-    coarse = propagate_covariance(a, d, v0, 5.0, 1.0 / a_norm).v
-    fine = propagate_covariance(a, d, v0, 5.0, 0.1 / a_norm).v
+    coarse = propagate_covariance(drift, diffusion, v0, 5.0, 1.0 / a_norm).v
+    fine = propagate_covariance(drift, diffusion, v0, 5.0, 0.1 / a_norm).v
     assert np.abs(coarse - fine).max() <= 1e-13 * np.abs(fine).max()
 
 
@@ -309,7 +272,8 @@ def _van_loan_loop(a, d, v0, t_final, n_steps):
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 8, 1000, 1523])
 def test_propagate_doubling_matches_sequential_steps(n_steps):
-    _, drift, diffusion = _reference_system(delta_a_kappas=3.0)
+    _, drift, diffusion = reference_system(
+        omega_a_hz=DEFAULTS["omega_a_hz"] + 3.0 * DEFAULTS["kappa_a_hz"])
     a, d = drift.a, diffusion.d
     a_norm = np.linalg.norm(a, 2)
     v0 = 0.5 * np.eye(6)
@@ -324,7 +288,7 @@ def test_propagate_doubling_matches_sequential_steps(n_steps):
 def test_propagate_huge_step_count_reaches_steady_state():
     # About 1e12 steps at the guard limit: a loop over the steps would not
     # finish, the doubling takes about 40 squarings.
-    _, drift, diffusion = _reference_system()
+    _, drift, diffusion = reference_system()
     steady = solve_lyapunov(drift, diffusion)
     dt = 1.0 / np.linalg.norm(drift.a, 2)
     cm = propagate_covariance(drift, diffusion, 0.5 * np.eye(6), 1e12 * dt, dt)
@@ -337,14 +301,14 @@ def test_propagate_huge_step_count_reaches_steady_state():
     (1.0, math.nan, "dt"),
 ])
 def test_propagate_rejects_non_finite_times(t_final, dt, name):
-    _, drift, diffusion = _reference_system()
+    _, drift, diffusion = reference_system()
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         propagate_covariance(drift, diffusion, 0.5 * np.eye(6), t_final, dt)
 
 
 def test_propagate_rejects_overflowing_step_count():
     # Both times are finite, but their ratio is not.
-    _, drift, diffusion = _reference_system()
+    _, drift, diffusion = reference_system()
     with pytest.raises(ValueError, match=r"t_final = 1e\+300, dt = 1e-10$"):
         propagate_covariance(drift, diffusion, 0.5 * np.eye(6), 1e300, 1e-10)
 
@@ -400,14 +364,16 @@ def test_symplectic_eigenvalues_reject_a_shape_that_is_not_2n_by_2n(shape):
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_nan_residual_is_a_numerical_failure(solver):
-    # max|D| = 1e306 near marginal stability overflows the solve; the
-    # residual is inf for one backend and NaN for the other, and both fail
-    # the residual bound rather than the covariance validation.
+    # max|D| = 1e306 near marginal stability overflows the solve.  dtrsyl
+    # rescales the Schur solve, which is refused; the Kronecker residual is
+    # NaN and fails the residual bound rather than the covariance validation.
+    message = {solve_lyapunov: "^solve_lyapunov: dtrsyl scaled the solution by ",
+               solve_lyapunov_kron: "residual"}[solver]
     rng = np.random.default_rng(0)
     a = rng.normal(size=(6, 6))
     a = a - (np.linalg.eigvals(a).real.max() + 1e-3) * np.eye(6)
     b = rng.normal(size=(6, 6))
     d = b @ b.T
     d = d * (1e306 / np.abs(d).max())
-    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="residual"):
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match=message):
         solver(a, d)

@@ -1,19 +1,19 @@
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cavmag.sweep as sweep_mod
+from _systems import reference_point
 from cavmag import config
 from cavmag.sweep import (
     QUANTITIES,
-    FixedPoint,
     GridRow,
     SweepResult,
     SweepSpec,
     check_certification_chain,
-    fixed_from_values,
     format_csv,
     point_quantities,
     preset,
@@ -24,12 +24,8 @@ from cavmag.sweep import (
 from cavmag.dynamics import StabilityReport
 
 
-def _default_fixed(**overrides):
-    return fixed_from_values(config.merge(overrides))
-
-
 def test_spec_validation():
-    fixed = _default_fixed()
+    fixed = reference_point()
     with pytest.raises(ValueError, match="axis"):
         SweepSpec(axis1="bogus", range1=(0, 1, 3), fixed=fixed,
                   outputs=("log_negativity",))
@@ -90,10 +86,10 @@ def test_axis_keys_match_what_it_applies(axis):
     # omega_s_hz + value.
     definition = sweep_mod.get_axis(axis)
     value = _PROBES[axis]
-    applied = definition.apply(fixed_from_values(config.DEFAULTS), value)
+    applied = definition.apply(reference_point(), value)
     if definition.column.endswith("_hz"):
         value += config.DEFAULTS["omega_s_hz"]
-    expected = fixed_from_values(config.merge(dict.fromkeys(definition.keys, value)))
+    expected = reference_point(**dict.fromkeys(definition.keys, value))
     got, want = _by_config_key(applied), _by_config_key(expected)
     assert set(got) == set(config.CONFIG_KEYS)
     for key in config.CONFIG_KEYS:
@@ -117,14 +113,14 @@ def test_failing_grid_point_names_itself(monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "solve_lyapunov", second_solve_fails)
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), axis2="theta",
-                     range2=(0.0, 1.0, 2), fixed=_default_fixed(), outputs=("var_x1",))
+                     range2=(0.0, 1.0, 2), fixed=reference_point(), outputs=("var_x1",))
     with pytest.raises(np.linalg.LinAlgError) as info:
         run_sweep(spec)
     assert type(info.value) is np.linalg.LinAlgError
     assert str(info.value) == "r = 0, theta_rad = 1: LAPACK dgees failed (info = 1)"
     # A failure applying axis1 names axis1 alone.
     spec = SweepSpec(axis1="delta_a", range1=(-2e10, 0.0, 2), axis2="r",
-                     range2=(0.0, 1.0, 2), fixed=_default_fixed(), outputs=("var_x1",))
+                     range2=(0.0, 1.0, 2), fixed=reference_point(), outputs=("var_x1",))
     with pytest.raises(ValueError) as info:
         run_sweep(spec)
     assert str(info.value) == ("delta_a_hz = -20000000000: "
@@ -140,7 +136,7 @@ def test_failing_grid_point_names_itself(monkeypatch):
 def test_negative_range_fails_at_its_grid_point(axis, rng, message):
     # The model, not the axis, owns the sign rule: the spec is valid and
     # the first grid point is rejected under its coordinates.
-    spec = SweepSpec(axis1=axis, range1=rng, fixed=_default_fixed(),
+    spec = SweepSpec(axis1=axis, range1=rng, fixed=reference_point(),
                      outputs=("log_negativity",))
     with pytest.raises(ValueError) as info:
         run_sweep(spec)
@@ -148,7 +144,7 @@ def test_negative_range_fails_at_its_grid_point(axis, rng, message):
 
 
 def test_run_sweep_entanglement_switches_on_with_drive():
-    spec = SweepSpec(axis1="r", range1=(0.0, 2.0, 2), fixed=_default_fixed(),
+    spec = SweepSpec(axis1="r", range1=(0.0, 2.0, 2), fixed=reference_point(),
                      outputs=("log_negativity",))
     result = run_sweep(spec)
     assert len(result.rows) == 2
@@ -161,7 +157,7 @@ def test_run_sweep_entanglement_switches_on_with_drive():
 def test_run_sweep_axis_major_ordering():
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 3),
                      axis2="theta", range2=(0.0, 1.0, 2),
-                     fixed=_default_fixed(), outputs=("var_x1",))
+                     fixed=reference_point(), outputs=("var_x1",))
     result = run_sweep(spec)
     observed = [(row.axis1_value, row.axis2_value) for row in result.rows]
     assert observed == [(0.0, 0.0), (0.0, 1.0), (0.5, 0.0),
@@ -169,7 +165,7 @@ def test_run_sweep_axis_major_ordering():
 
 
 def test_run_sweep_rows_carry_requested_outputs_in_order():
-    spec = SweepSpec(axis1="r", range1=(0.0, 2.0, 2), fixed=_default_fixed(),
+    spec = SweepSpec(axis1="r", range1=(0.0, 2.0, 2), fixed=reference_point(),
                      outputs=("duan_sum", "log_negativity"))
     result = run_sweep(spec)
     assert all(len(row.values) == 2 for row in result.rows)
@@ -243,7 +239,7 @@ def test_preset_resonance_and_span_follow_final_values():
 def test_single_sample_squeezing_at_reference_drive():
     # one decoupled sample still inherits several dB of squeezing, close to
     # the collective-quadrature value of the pair
-    spec = SweepSpec(axis1="r", range1=(0.0, 2.0, 2), fixed=_default_fixed(g2_hz=0.0),
+    spec = SweepSpec(axis1="r", range1=(0.0, 2.0, 2), fixed=reference_point(g2_hz=0.0),
                      outputs=("var_x1", "squeezing_db_x1"))
     result = run_sweep(spec)
     db = result.column("squeezing_db_x1")[1]  # r = 2 row
@@ -273,7 +269,7 @@ def test_all_presets_build_and_declare_expected_axes():
 def test_single_sample_thermal_variance():
     # with both couplings off and no drive, each magnon is a bare thermal
     # mode: var_x1 = n + 1/2 exactly
-    fixed = _default_fixed(g1_hz=0.0, g2_hz=0.0, temperature_k=0.1)
+    fixed = reference_point(g1_hz=0.0, g2_hz=0.0, temperature_k=0.1)
     spec = SweepSpec(axis1="r", range1=(0.0, 0.5, 2), fixed=fixed,
                      outputs=("var_x1",))
     result = run_sweep(spec)
@@ -357,7 +353,7 @@ def _unstable_every(monkeypatch, period):
 
 def test_csv_unstable_rows_have_empty_cells(monkeypatch):
     _unstable_every(monkeypatch, 2)
-    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 4), fixed=_default_fixed(),
+    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 4), fixed=reference_point(),
                      outputs=("log_negativity", "duan_sum"))
     text = format_csv(run_sweep(spec))
     lines = text.strip().split("\n")
@@ -369,7 +365,7 @@ def test_csv_unstable_rows_have_empty_cells(monkeypatch):
 
 def test_all_points_unstable_still_completes(monkeypatch):
     calls = _unstable_every(monkeypatch, 1)
-    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 3), fixed=_default_fixed(),
+    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 3), fixed=reference_point(),
                      outputs=("log_negativity",))
     result = run_sweep(spec)
     assert len(calls) == 3
@@ -414,7 +410,7 @@ def test_sweep_result_column_lookup():
 
 
 def test_format_csv_round_trip_manual_rows():
-    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), fixed=_default_fixed(),
+    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), fixed=reference_point(),
                      outputs=("var_x1",))
     rows = (GridRow(0.0, None, (0.123456789012345678,)),
             GridRow(1.0, None, None))
@@ -427,5 +423,20 @@ def test_format_csv_round_trip_manual_rows():
 def test_sweep_outputs_are_the_point_quantities():
     # every quantity `cavmag point` prints is a sweep output, except the
     # diagnostic nu_minus
-    _, _, cm = steady_state(_default_fixed())
+    _, _, cm = steady_state(reference_point())
     assert set(QUANTITIES) == set(point_quantities(cm)) - {"nu_minus"}
+
+
+def test_readme_pipeline_is_the_steady_state_of_the_defaults(capsys):
+    # The README's low-level API example, run as printed up to its two-step
+    # variant, builds the same arrays as sweep.steady_state and prints the
+    # numbers its comments state.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    names = {}
+    exec(readme.split("```python\n", 1)[1].split("# The same pipeline", 1)[0], names)
+    drift, diffusion, cm = steady_state(config.fixed_from_values(config.DEFAULTS))
+    assert np.array_equal(names["drift"].a, drift.a)
+    assert np.array_equal(names["diffusion"].d, diffusion.d)
+    assert np.array_equal(names["cm"].v, cm.v)
+    log_negativity, squeezing_db = capsys.readouterr().out.splitlines()[:2]
+    assert (f"{float(log_negativity):.3f}", f"{float(squeezing_db):.2f}") == ("0.838", "2.27")
