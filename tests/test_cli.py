@@ -12,11 +12,12 @@ from cavmag.dynamics import StabilityReport, UnstableSystemError
 from cavmag.verify import CriterionResult, VerificationReport
 
 
-def _failure(capsys, code, *args):
+def _failure(capsys, code, *args, warns=False):
     """stderr of `cavmag *args`, which must exit with ``code`` and print
-    nothing on stdout; library warnings are printed, not raised."""
+    nothing on stdout.  Warnings stay errors unless ``warns``."""
     with warnings.catch_warnings():
-        warnings.simplefilter("default")
+        if warns:
+            warnings.simplefilter("default")
         assert main(list(args)) == code
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -246,7 +247,7 @@ def test_point_unstable_drift_exits_2(monkeypatch, capsys):
 def test_point_overflowing_r_names_r(capsys, r):
     # The cavity noise grows like e^(2r) and leaves the double range near
     # r = 354: a numerical failure that names r, not an errno tuple.
-    assert _failure(capsys, 2, "point", "--set", f"r={r}") == (
+    assert _failure(capsys, 2, "point", "--set", f"r={r}", warns=True) == (
         f"warning: squeezing parameter r = {r} makes diffusion entries of order e^(2r); "
         f"steady-state solves may lose accuracy\n"
         f"numerical failure: squeezing parameter r = {r} overflows the diffusion matrix: "
@@ -286,7 +287,7 @@ def test_point_at_large_r_is_never_a_usage_error(capsys):
 
 
 def test_point_diffusion_rounding_message(capsys):
-    assert _failure(capsys, 2, "point", "--set", "r=10") == (
+    assert _failure(capsys, 2, "point", "--set", "r=10", warns=True) == (
         "warning: squeezing parameter r = 10 makes diffusion entries of order e^(2r); "
         "steady-state solves may lose accuracy\n"
         "numerical failure: squeezing parameter r = 10 loses the diffusion matrix to "
@@ -302,7 +303,7 @@ def test_point_diffusion_rounding_message(capsys):
 def test_point_refuses_a_rescaled_schur_solve(capsys, setting, warning, scale):
     # dtrsyl lowers its scale below 1 only where the solution would
     # overflow; the rescaled solution is refused, not printed.
-    assert _failure(capsys, 2, "point", "--set", setting) == (
+    assert _failure(capsys, 2, "point", "--set", setting, warns=bool(warning)) == (
         f"{warning}numerical failure: solve_lyapunov: dtrsyl scaled the solution by "
         f"{scale} to avoid overflow; the diffusion is too large for a double-precision "
         f"solve\n")

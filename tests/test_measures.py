@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _systems import V_X1_REFERENCE, reference_system, rotation
+from _systems import V_X1_REFERENCE, reference_point, reference_system, rotation
 from cavmag.config import default_params
 from cavmag.dynamics import build_diffusion, build_drift
 from cavmag.measures import (
@@ -24,6 +24,7 @@ from cavmag.model import (
     detunings_from,
 )
 from cavmag.steadystate import CovarianceMatrix, solve_lyapunov, solve_lyapunov_kron
+from cavmag.sweep import steady_state
 
 # Frozen from the vectorized 36x36 backend at the reference point
 # (r = 2, theta = 0, 20 mK, zero detunings).
@@ -31,8 +32,8 @@ E_REFERENCE = 0.8382942380746955
 NU_MINUS_REFERENCE = 0.21622377360877568
 
 
-def _reference_cm(solver=solve_lyapunov, **config_keys):
-    return solver(*reference_system(**config_keys)[1:])
+def _reference_cm(**config_keys):
+    return steady_state(reference_point(**config_keys))[2]
 
 
 def _tmsv(s):
@@ -77,7 +78,7 @@ def test_log_negativity_two_mode_squeezed_vacuum():
 
 
 def test_log_negativity_reference_regression():
-    result = log_negativity(reduce_to_magnons(_reference_cm(solver=solve_lyapunov_kron)))
+    result = log_negativity(reduce_to_magnons(solve_lyapunov_kron(*reference_system()[1:])))
     assert result.log_negativity == pytest.approx(E_REFERENCE, abs=1e-9)
     assert result.nu_minus == pytest.approx(NU_MINUS_REFERENCE, abs=1e-9)
 
