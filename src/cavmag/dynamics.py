@@ -35,10 +35,10 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
 
-def _frozen_array(obj, attr, value, shape):
+def _frozen_array(obj, attr, value):
     arr = np.array(value, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{attr} must have shape {shape}, got {arr.shape}")
+    if arr.shape != (6, 6):
+        raise ValueError(f"{attr} must have shape (6, 6), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{attr} must be finite")
     arr.setflags(write=False)
@@ -52,7 +52,7 @@ class DriftMatrix:
     a: np.ndarray
 
     def __post_init__(self):
-        _frozen_array(self, "a", self.a, (6, 6))
+        _frozen_array(self, "a", self.a)
 
 
 def _drift_array(a) -> np.ndarray:
@@ -60,11 +60,11 @@ def _drift_array(a) -> np.ndarray:
 
 
 def _checked_drift_array(a) -> np.ndarray:
-    """The drift as an array; numpy.linalg.LinAlgError unless it is square
+    """The drift as an array; numpy.linalg.LinAlgError unless it is 6x6
     and finite."""
     arr = _drift_array(a)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all():
-        raise np.linalg.LinAlgError("drift matrix must be square and finite")
+    if arr.shape != (6, 6) or not np.isfinite(arr).all():
+        raise np.linalg.LinAlgError("drift matrix must be 6x6 and finite")
     return arr
 
 
@@ -75,7 +75,7 @@ class DiffusionMatrix:
     d: np.ndarray
 
     def __post_init__(self):
-        _frozen_array(self, "d", self.d, (6, 6))
+        _frozen_array(self, "d", self.d)
         if not (self.d == self.d.T).all():
             raise ValueError("diffusion matrix must be exactly symmetric")
         eigvals, _, info = lapack.dsyev(self.d, compute_v=0)
@@ -188,10 +188,10 @@ def stability_check(a: DriftMatrix | np.ndarray) -> StabilityReport:
     """Asymptotic stability of the drift: every eigenvalue real part must
     lie below -STABILITY_EPS.
 
-    The spectrum comes from LAPACK dgeev (eigenvalues only).  A non-square
-    or non-finite drift, or a failed eigenvalue iteration, raises
-    numpy.linalg.LinAlgError; the check never reports "stable" without a
-    converged spectrum.
+    The spectrum comes from LAPACK dgeev (eigenvalues only).  A drift that
+    is not 6x6 or has a non-finite entry raises numpy.linalg.LinAlgError
+    before dgeev runs, as does a failed eigenvalue iteration; the check
+    never reports "stable" without a converged spectrum.
     """
     arr = _checked_drift_array(a)
     wr, _, _, _, info = lapack.dgeev(arr, compute_vl=0, compute_vr=0)

@@ -41,6 +41,8 @@ class SystemParams:
     ``kappa_*`` are amplitude decay rates: a lone damped mode obeys
     d<a>/dt = -kappa <a> and couples to its input with sqrt(2 kappa).
     All values share one angular-frequency unit (internally 2*pi x MHz).
+    Decay rates and magnon frequencies must be positive, the couplings and
+    the cavity and drive frequencies nonnegative; ValueError names the field.
     """
 
     omega_a: float    # cavity frequency
@@ -54,13 +56,10 @@ class SystemParams:
     g2: float         # photon-magnon coupling, mode 2
 
     def __post_init__(self):
-        for name in ("kappa_a", "kappa_m1", "kappa_m2"):
+        for name in ("kappa_a", "kappa_m1", "kappa_m2", "omega_m1", "omega_m2"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("g1", "g2"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        for name in ("omega_a", "omega_m1", "omega_m2", "omega_s"):
+        for name in ("g1", "g2", "omega_a", "omega_s"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 

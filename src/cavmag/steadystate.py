@@ -121,12 +121,11 @@ class TwoModeCM(_Covariance):
     _NAME = "two-mode covariance"
 
 
-def _diffusion_array(d, shape) -> np.ndarray:
-    """The diffusion as an array; ValueError unless it has the drift's
-    ``shape`` and every entry is finite."""
+def _diffusion_array(d) -> np.ndarray:
+    """The diffusion as an array; ValueError unless it is 6x6 and finite."""
     arr = d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"diffusion matrix must have shape {shape}, got {arr.shape}")
+    if arr.shape != (6, 6):
+        raise ValueError(f"diffusion matrix must have shape (6, 6), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("diffusion matrix must be finite")
     return arr
@@ -134,9 +133,9 @@ def _diffusion_array(d, shape) -> np.ndarray:
 
 def _lyapunov_backend(solve):
     """The contract of every steady-state backend around its raw solve of
-    A V + V A^T = -D: a non-square or non-finite A raises
+    A V + V A^T = -D: an A that is not 6x6 or has a non-finite entry raises
     numpy.linalg.LinAlgError, an unstable A UnstableSystemError, and a D
-    of another shape or with a non-finite entry ValueError; the
+    that is not 6x6 or has a non-finite entry ValueError; the
     symmetrized V must meet max|A V + V A^T + D| <= 1e-10 max|D| (a NaN
     residual fails) or ArithmeticError is raised.
     """
@@ -144,7 +143,7 @@ def _lyapunov_backend(solve):
     def backend(a, d) -> CovarianceMatrix:
         a_arr = _drift_array(a)
         stability_check(a_arr).require()
-        d_arr = _diffusion_array(d, a_arr.shape)
+        d_arr = _diffusion_array(d)
         v = solve(a_arr, d_arr)
         v = 0.5 * (v + v.T)
         residual = float(np.abs(a_arr @ v + v @ a_arr.T + d_arr).max())
@@ -196,14 +195,13 @@ def solve_lyapunov_kron(a, d):
     two must agree to 1e-9 on any stable input, which the test suite
     enforces.  A singular system raises numpy.linalg.LinAlgError.
     """
-    n = a.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(6)
     # I (x) A + A (x) I by broadcasting: each entry is the same product
     # with an exact 0.0 or 1.0 that np.kron forms, so the sum is bit-identical.
     system = (eye[:, None, :, None] * a[None, :, None, :]
-              + a[:, None, :, None] * eye[None, :, None, :]).reshape(n * n, n * n)
+              + a[:, None, :, None] * eye[None, :, None, :]).reshape(36, 36)
     vec = np.linalg.solve(system, -d.flatten(order="F"))
-    return vec.reshape(a.shape, order="F")
+    return vec.reshape((6, 6), order="F")
 
 
 def propagate_covariance(a, d, v0, t_final: float, dt: float) -> CovarianceMatrix:
@@ -220,15 +218,14 @@ def propagate_covariance(a, d, v0, t_final: float, dt: float) -> CovarianceMatri
     within it the result is independent of dt up to rounding.  Time is in
     the reciprocal unit of ``a`` and ``d`` (1/(2 pi MHz) internally).  V is
     symmetrized after every applied block and Q after every doubling;
-    t_final = 0 returns v0 and no Lyapunov solve is used.  A non-square or
-    non-finite drift raises numpy.linalg.LinAlgError, and a diffusion of
-    another shape or with a non-finite entry ValueError.
+    no Lyapunov solve is used.  Before any work, a drift that is not 6x6 or
+    not finite raises numpy.linalg.LinAlgError, a diffusion that is not
+    6x6 or not finite ValueError, and a v0 that CovarianceMatrix rejects
+    its ValueError; t_final = 0 returns v0 as a CovarianceMatrix.
     """
     a_arr = _checked_drift_array(a)
-    d_arr = _diffusion_array(d, a_arr.shape)
-    v = np.array(v0.v if isinstance(v0, CovarianceMatrix) else v0, dtype=float)
-    if v.shape != a_arr.shape:
-        raise ValueError(f"v0 must have shape {a_arr.shape}, got {v.shape}")
+    d_arr = _diffusion_array(d)
+    cm0 = v0 if isinstance(v0, CovarianceMatrix) else CovarianceMatrix(v0)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not (math.isfinite(t_final) and t_final >= 0.0):
@@ -243,12 +240,12 @@ def propagate_covariance(a, d, v0, t_final: float, dt: float) -> CovarianceMatri
         raise ValueError(f"t_final / dt overflows: t_final = {t_final}, dt = {dt}")
     n_steps = math.ceil(t_final / dt)
     if n_steps == 0:
-        return CovarianceMatrix(v)
-    n = a_arr.shape[0]
+        return cm0
     f = expm(np.block([[-a_arr, d_arr], [np.zeros_like(a_arr), a_arr.T]])
              * (t_final / n_steps))
-    phi = f[n:, n:].T
-    q = phi @ f[:n, n:]
+    phi = f[6:, 6:].T
+    q = phi @ f[:6, 6:]
+    v = cm0.v
     # (phi, q) applies 2^k steps at binary digit k of n_steps; the blocks
     # are powers of one affine map, so they commute and the digits can be
     # taken lowest first.

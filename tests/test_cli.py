@@ -222,6 +222,18 @@ def test_failing_grid_point_is_named_with_unchanged_exit_code(monkeypatch, capsy
         "numerical failure: temperature_k = 0: residual exceeds bound\n")
 
 
+@pytest.mark.parametrize("args, message", [
+    (("point", "--set", "omega_m2_hz=0", "--set", "temperature_k=0"),
+     "omega_m2 must be positive, got 0.0"),
+    (("sweep", "--preset", "fig2b", "--points", "3", "--range", "delta_m=-1e10:0"),
+     "delta_a_hz = -15000000, delta_m_hz = -10000000000: omega_m1 must be positive, got 0.0"),
+], ids=["point", "sweep"])
+def test_zero_magnon_frequency_names_the_key(capsys, args, message):
+    # SystemParams owns the rule, so the usage error names the field rather
+    # than the undefined thermal occupation behind it.
+    assert _failure(capsys, 1, *args) == f"usage error: {message}\n"
+
+
 def test_point_numerical_failure_exit_code(monkeypatch, capsys):
     def explode(fixed):
         raise UnstableSystemError("no steady state")

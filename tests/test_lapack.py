@@ -11,13 +11,14 @@ import pytest
 import scipy.linalg
 from scipy.linalg import lapack
 
+import cavmag.steadystate
 import cavmag.sweep
 from _systems import random_stable_systems, reference_point, reference_system
 from cavmag.cli import main
 from cavmag.dynamics import DiffusionMatrix, stability_check
 from cavmag.measures import _PT_SIGNS, TwoModeCM, log_negativity, reduce_to_magnons
-from cavmag.steadystate import (propagate_covariance, solve_lyapunov, solve_lyapunov_kron,
-                                symplectic_eigenvalues, symplectic_form)
+from cavmag.steadystate import (CovarianceMatrix, propagate_covariance, solve_lyapunov,
+                                solve_lyapunov_kron, symplectic_eigenvalues, symplectic_form)
 
 
 def _reference_system():
@@ -86,7 +87,7 @@ def test_non_finite_drift_raises_linalg_error(bad):
 
 
 def test_non_square_drift_raises_linalg_error():
-    with pytest.raises(np.linalg.LinAlgError, match="square"):
+    with pytest.raises(np.linalg.LinAlgError, match="6x6"):
         stability_check(-np.ones((6, 5)))
 
 
@@ -109,7 +110,7 @@ def test_non_finite_raw_diffusion_raises_value_error(bad):
     *((routine, -np.eye(6), d, ValueError, f"diffusion matrix must have shape (6, 6), got {shape}")
       for routine in (solve_lyapunov, solve_lyapunov_kron, _propagate)
       for d, shape in ((2.0, ()), (np.eye(4), (4, 4)))),
-    *((_propagate, a, np.eye(6), np.linalg.LinAlgError, "drift matrix must be square and finite")
+    *((_propagate, a, np.eye(6), np.linalg.LinAlgError, "drift matrix must be 6x6 and finite")
       for a in (np.diag([-1.0, np.nan, -1.0, -1.0, -1.0, -1.0]), -np.ones((6, 5)))),
 ])
 def test_misshapen_or_non_finite_input_fails_up_front(routine, a, d, error, message):
@@ -117,6 +118,65 @@ def test_misshapen_or_non_finite_input_fails_up_front(routine, a, d, error, mess
     # diffusion, checked before the input reaches numpy or LAPACK.
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         routine(a, d)
+
+
+def _forbid_work(monkeypatch):
+    """Make every LAPACK call, solve, 2-norm and expm of the solvers raise:
+    a routine that still fails with its own error under this refused the
+    input before any work."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("invalid input reached the numerics")
+    monkeypatch.setattr(lapack, "dgeev", forbidden)
+    monkeypatch.setattr(lapack, "dgees", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    monkeypatch.setattr(cavmag.steadystate, "expm", forbidden)
+
+
+_DRIFT_CONSUMERS = {
+    "stability_check": lambda a, d: stability_check(a),
+    "solve_lyapunov": solve_lyapunov,
+    "solve_lyapunov_kron": solve_lyapunov_kron,
+    "propagate_covariance": lambda a, d: propagate_covariance(a, d, 0.5 * np.eye(6),
+                                                              1e-3, 1e-3),
+}
+
+
+@pytest.mark.parametrize("size", [0, 4])
+@pytest.mark.parametrize("routine", _DRIFT_CONSUMERS.values(), ids=_DRIFT_CONSUMERS)
+def test_drift_that_is_not_6x6_is_refused_before_any_work(monkeypatch, routine, size):
+    _forbid_work(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="^drift matrix must be 6x6 and finite$"):
+        routine(-np.eye(size), np.eye(size))
+
+
+@pytest.mark.parametrize("routine", _DRIFT_CONSUMERS.values(), ids=_DRIFT_CONSUMERS)
+def test_empty_drift_never_reaches_lapack(capfd, routine):
+    # Given a 0x0 matrix, dgeev prints an illegal-argument notice on stderr.
+    with pytest.raises(np.linalg.LinAlgError, match="^drift matrix must be 6x6 and finite$"):
+        routine(np.zeros((0, 0)), np.zeros((0, 0)))
+    assert capfd.readouterr().err == ""
+
+
+def _asymmetric_v0():
+    v0 = 0.5 * np.eye(6)
+    v0[0, 1] = 0.3
+    return v0
+
+
+@pytest.mark.parametrize("t_final", [0.0, 1e-3])
+@pytest.mark.parametrize("v0", [
+    _asymmetric_v0(), np.diag([0.5, 0.5, np.nan, 0.5, 0.5, 0.5]), -np.eye(6),
+], ids=["asymmetric", "nan", "nonpositive-diagonal"])
+def test_invalid_v0_is_refused_before_any_work(monkeypatch, v0, t_final):
+    _, drift, diffusion = reference_system()
+    with pytest.raises(ValueError) as expected:
+        CovarianceMatrix(v0)
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError) as got:
+        propagate_covariance(drift, diffusion, v0, t_final, 1e-3)
+    assert type(got.value) is ValueError
+    assert str(got.value) == str(expected.value)
 
 
 def _fail_routine(monkeypatch, name):

@@ -203,7 +203,7 @@ def test_propagate_step_guard():
 
 def test_propagate_rejects_wrong_shaped_v0():
     _, drift, diffusion = reference_system()
-    with pytest.raises(ValueError, match=r"^v0 must have shape \(6, 6\), got \(4, 4\)$"):
+    with pytest.raises(ValueError, match=r"^covariance matrix must be 6x6, got \(4, 4\)$"):
         propagate_covariance(drift, diffusion, 0.5 * np.eye(4), 1.0, 0.001)
 
 
