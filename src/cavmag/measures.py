@@ -85,17 +85,16 @@ def collective_variances(cm: CovarianceMatrix) -> CollectiveVariances:
     (var_Mx, var_mx) is an orthogonal rotation of (<dx1^2>, <dx2^2>), so
     var_Mx + var_mx reproduces their sum.
     """
-    v = cm.v
-    half_x = 0.5 * (v[2, 2] + v[4, 4])
-    half_y = 0.5 * (v[3, 3] + v[5, 5])
-    cross_x = v[2, 4]
-    cross_y = v[3, 5]
-    return CollectiveVariances(
-        var_Mx=half_x + cross_x,
-        var_My=half_y + cross_y,
-        var_mx=half_x - cross_x,
-        var_my=half_y - cross_y,
-    )
+    return CollectiveVariances(*_collective(cm.v))
+
+
+def _collective(v):
+    """(var_Mx, var_My, var_mx, var_my) of one covariance or a stack (..., 6, 6)."""
+    half_x = 0.5 * (v[..., 2, 2] + v[..., 4, 4])
+    half_y = 0.5 * (v[..., 3, 3] + v[..., 5, 5])
+    cross_x = v[..., 2, 4]
+    cross_y = v[..., 3, 5]
+    return half_x + cross_x, half_y + cross_y, half_x - cross_x, half_y - cross_y
 
 
 def duan_sum(cm: CovarianceMatrix) -> float:
@@ -126,3 +125,38 @@ def input_squeezing_db(r: float) -> float:
     if r < 0.0:
         raise ValueError(f"squeezing parameter r must be nonnegative, got {r}")
     return 20.0 * r / math.log(10.0)
+
+
+# Every quantity ``quantities`` builds, in the order ``cavmag point`` prints.
+POINT_QUANTITIES = ("log_negativity", "nu_minus", "duan_sum", "mancini_product",
+                    "var_x1", "var_Mx", "var_my", "squeezing_db_x1", "squeezing_db_Mx")
+
+# Squeezing columns and the variance column each is taken from.
+_SQUEEZING_OF = {"squeezing_db_x1": "var_x1", "squeezing_db_Mx": "var_Mx"}
+
+
+def quantities(v, names) -> dict[str, list[float]]:
+    """The named POINT_QUANTITIES of a steady-state covariance or a stack
+    (..., 6, 6) of them: one list per name, one float per matrix in C order.
+
+    nu_minus comes from one symplectic_eigenvalues call on the stack, and
+    it is computed whatever the names, so an unphysical state always raises.
+    The collective variances are the elementwise arithmetic of
+    collective_variances; log negativity (EntanglementResult) and squeezing
+    (squeezing_db) are applied per value.  Each value is therefore the one
+    the per-matrix functions give, bit for bit.
+    """
+    v = np.asarray(v, dtype=float)
+    nu = symplectic_eigenvalues(v[..., 2:, 2:] * _PT_SIGNS)[..., 0].ravel().tolist()
+    var_Mx, _, _, var_my = _collective(v)
+    columns = {
+        "log_negativity": [EntanglementResult(x).log_negativity for x in nu],
+        "nu_minus": nu,
+        "duan_sum": np.ravel(var_Mx + var_my).tolist(),
+        "mancini_product": np.ravel(var_Mx * var_my).tolist(),
+        "var_x1": np.ravel(v[..., 2, 2]).tolist(),
+        "var_Mx": np.ravel(var_Mx).tolist(),
+        "var_my": np.ravel(var_my).tolist(),
+    }
+    return {name: [squeezing_db(x) for x in columns[_SQUEEZING_OF[name]]]
+            if name in _SQUEEZING_OF else columns[name] for name in names}

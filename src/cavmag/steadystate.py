@@ -49,27 +49,43 @@ def _i_symplectic_form(n_modes: int) -> np.ndarray:
 def symplectic_eigenvalues(v) -> np.ndarray:
     """The n distinct moduli of the eigenvalues of i Omega V, ascending.
 
-    A physical 2n x 2n covariance gives +/- pairs of real eigenvalues of
-    modulus >= 1/2.  A non-2n x 2n shape raises ValueError; non-finite
-    input and a zgeev failure raise numpy.linalg.LinAlgError; an imaginary
-    residue above 1e-9 (relative) raises ArithmeticError.
+    ``v`` is one 2n x 2n matrix or a stack (..., 2n, 2n), whose spectra
+    come from one numpy eigvals (LAPACK zgeev) call; the result has shape
+    (..., n).  A physical covariance gives +/- pairs of real eigenvalues of
+    modulus >= 1/2.  A shape that is not (..., 2n, 2n) raises ValueError;
+    non-finite input and a zgeev failure raise numpy.linalg.LinAlgError; an
+    imaginary residue above 1e-9 (relative) raises ArithmeticError.  Each
+    check applies per matrix, and for a stack the message starts with the
+    index of the first matrix that fails it.
     """
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 or not arr.size:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] % 2 or not arr.size:
         raise ValueError(f"symplectic spectrum needs a 2n x 2n matrix, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise np.linalg.LinAlgError("eigenvalue input must be finite")
-    eigvals, _, _, info = lapack.zgeev(_i_symplectic_form(arr.shape[0] // 2) @ arr,
-                                       compute_vl=0, compute_vr=0)
-    _check_info("zgeev", info)
+    finite = np.isfinite(arr).all(axis=(-2, -1))
+    if not finite.all():
+        raise np.linalg.LinAlgError(_first_failing(finite) + "eigenvalue input must be finite")
+    try:
+        eigvals = np.linalg.eigvals(_i_symplectic_form(arr.shape[-1] // 2) @ arr)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"LAPACK zgeev failed: {exc}") from exc
     moduli = np.abs(eigvals)
-    imag_residue = float(np.abs(eigvals.imag).max())
-    if imag_residue > _EIG_IMAG_RTOL * max(float(moduli.max()), 1.0):
+    imag_residue = np.abs(eigvals.imag).max(axis=-1)
+    physical = imag_residue <= _EIG_IMAG_RTOL * np.maximum(moduli.max(axis=-1), 1.0)
+    if not physical.all():
         raise ArithmeticError(
-            f"symplectic spectrum has imaginary residue {imag_residue:.3e}; "
-            f"the matrix is not a physical covariance"
+            f"{_first_failing(physical)}symplectic spectrum has imaginary residue "
+            f"{float(imag_residue[~physical][0]):.3e}; the matrix is not a physical covariance"
         )
-    return np.sort(moduli)[::2]
+    return np.sort(moduli, axis=-1)[..., ::2]
+
+
+def _first_failing(ok: np.ndarray) -> str:
+    """Message prefix naming the first matrix of a stack whose flag in ``ok``
+    is False; empty for a single matrix."""
+    if not ok.ndim:
+        return ""
+    index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+    return f"matrix {index[0] if ok.ndim == 1 else index}: "
 
 
 @dataclass(frozen=True)
@@ -144,18 +160,27 @@ def _lyapunov_backend(solve):
         a_arr = _drift_array(a)
         stability_check(a_arr).require()
         d_arr = _diffusion_array(d)
-        v = solve(a_arr, d_arr)
-        v = 0.5 * (v + v.T)
-        residual = float(np.abs(a_arr @ v + v @ a_arr.T + d_arr).max())
-        bound = RESIDUAL_RTOL * float(np.abs(d_arr).max())
-        if not residual <= bound:
-            raise ArithmeticError(
-                f"{solve.__name__}: residual {residual:.3e} exceeds bound {bound:.3e}; "
-                f"the system is near marginal stability or badly conditioned"
-            )
-        return CovarianceMatrix(v)
+        return _checked_solution(solve.__name__, a_arr, d_arr, solve(a_arr, d_arr))
 
     return backend
+
+
+def _checked_solution(name: str, a: np.ndarray, d: np.ndarray, v: np.ndarray):
+    """The symmetrized solution V of A V + V A^T = -D as a CovarianceMatrix.
+
+    ArithmeticError, naming the solver, unless max|A V + V A^T + D| <=
+    RESIDUAL_RTOL max|D| (a NaN residual fails); then CovarianceMatrix
+    rejects a non-finite V or a nonpositive diagonal with ValueError.
+    """
+    v = 0.5 * (v + v.T)
+    residual = float(np.abs(a @ v + v @ a.T + d).max())
+    bound = RESIDUAL_RTOL * float(np.abs(d).max())
+    if not residual <= bound:
+        raise ArithmeticError(
+            f"{name}: residual {residual:.3e} exceeds bound {bound:.3e}; "
+            f"the system is near marginal stability or badly conditioned"
+        )
+    return CovarianceMatrix(v)
 
 
 def _no_sort(wr, wi):
@@ -184,6 +209,11 @@ def solve_lyapunov(a, d):
             f"overflow; the diffusion is too large for a double-precision solve"
         )
     return u.dot(y).dot(u.T)
+
+
+# The raw Bartels-Stewart solve, without the backend's input and residual
+# checks; its caller owns them (the sweep's basis solves).
+_bartels_stewart = solve_lyapunov.__wrapped__
 
 
 @_lyapunov_backend

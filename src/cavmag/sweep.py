@@ -25,16 +25,7 @@ import numpy as np
 from . import config
 from .config import fixed_from_values
 from .dynamics import UnstableSystemError, build_diffusion, build_drift, stability_check
-from .measures import (
-    DUAN_BOUND,
-    MANCINI_BOUND,
-    collective_variances,
-    duan_sum,
-    log_negativity,
-    mancini_product,
-    reduce_to_magnons,
-    squeezing_db,
-)
+from .measures import DUAN_BOUND, MANCINI_BOUND, POINT_QUANTITIES, quantities
 from .model import (
     Environment,
     FixedPoint,
@@ -43,18 +34,15 @@ from .model import (
     hz_to_internal,
     internal_to_hz,
 )
-from .steadystate import solve_lyapunov
+from .steadystate import RESIDUAL_RTOL, _bartels_stewart, _checked_solution, solve_lyapunov
 
-QUANTITIES = (
-    "log_negativity",
-    "duan_sum",
-    "mancini_product",
-    "var_x1",
-    "var_Mx",
-    "var_my",
-    "squeezing_db_x1",
-    "squeezing_db_Mx",
-)
+# The sweep reaches these through measures.quantities; the benchmark tracer
+# still patches them under cavmag.sweep, so they stay importable here.
+from .measures import (collective_variances, duan_sum, log_negativity,  # noqa: F401
+                       mancini_product, reduce_to_magnons, squeezing_db)
+
+# Every point quantity except the diagnostic nu_minus.
+QUANTITIES = tuple(name for name in POINT_QUANTITIES if name != "nu_minus")
 
 DEFAULT_POINTS = 101
 
@@ -200,20 +188,7 @@ def steady_state(point: FixedPoint):
 
 def point_quantities(cm) -> dict[str, float]:
     """Every quantity of a steady state, in the order ``cavmag point`` prints."""
-    ent = log_negativity(reduce_to_magnons(cm))
-    cv = collective_variances(cm)
-    var_x1 = float(cm.v[2, 2])
-    return {
-        "log_negativity": ent.log_negativity,
-        "nu_minus": ent.nu_minus,
-        "duan_sum": duan_sum(cm),
-        "mancini_product": mancini_product(cm),
-        "var_x1": var_x1,
-        "var_Mx": cv.var_Mx,
-        "var_my": cv.var_my,
-        "squeezing_db_x1": squeezing_db(var_x1),
-        "squeezing_db_Mx": squeezing_db(cv.var_Mx),
-    }
+    return {name: values[0] for name, values in quantities(cm.v, POINT_QUANTITIES).items()}
 
 
 def axis_values(rng) -> list[float]:
@@ -225,34 +200,188 @@ def axis_values(rng) -> list[float]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid, axis1-major then axis2, deterministically.
 
+    The grid is evaluated one line at a time: the axis2 values at one
+    axis1 value, or all of axis1 in a 1D sweep.  Where the line's axis sets
+    only r, theta or temperature, every point of the line shares one
+    drift: it is built and checked once, and each point's covariance is
+    assembled from the first point's solve and five basis solves (see
+    _fixed_drift_line).  Every other line solves each point with
+    steady_state.  The measures of a line's stable points come from one
+    measures.quantities call.
+
     A point without a steady state gives an unstable row.  Any other
     exception raised while a grid point is applied or evaluated propagates
-    with its message prefixed by the point's coordinates.
+    with its message prefixed by the point's coordinates.  When several
+    points fail, the first in grid order is named, with the error it
+    raises evaluated on its own.
     """
     axis1, axis2 = _AXES[spec.axis1], _AXES.get(spec.axis2)
-    grid2 = axis_values(spec.range2) if axis2 else [None]
+    line_axis = axis2 or axis1
+    fixed_drift = set(line_axis.keys) <= _DRIFT_FREE_KEYS
+    grid1 = axis_values(spec.range1)
     rows = []
-    for v1 in axis_values(spec.range1):
-        v2 = None
-        try:
-            base = axis1.apply(spec.fixed, v1)
-            for v2 in grid2:
-                point = base if axis2 is None else axis2.apply(base, v2)
-                try:
-                    _, _, cm = steady_state(point)
-                except UnstableSystemError:
-                    rows.append(GridRow(v1, v2, None))
-                else:
-                    quantities = point_quantities(cm)
-                    values = tuple([quantities[n] for n in spec.outputs])
-                    rows.append(GridRow(v1, v2, values))
-        except Exception as exc:
-            where = ", ".join(f"{axis.column} = {_fmt(v)}"
-                              for axis, v in ((axis1, v1), (axis2, v2)) if v is not None)
-            # The same object is re-raised, so its class and traceback are kept.
-            exc.args = (f"{where}: {exc}",)
-            raise
+    for v1 in grid1 if axis2 else [None]:
+        if axis2 is None:
+            base, coordinates = spec.fixed, [(v, None) for v in grid1]
+        else:
+            try:
+                base = axis1.apply(spec.fixed, v1)
+            except Exception as exc:
+                raise _named(exc, ((axis1, v1),))
+            coordinates = [(v1, v2) for v2 in axis_values(spec.range2)]
+        line = _Line([c[1] if axis2 else c[0] for c in coordinates])
+        values = line.evaluate(lambda v: line_axis.apply(base, v), fixed_drift,
+                               spec.outputs)
+        if line.error is not None:
+            raise _named(line.error, zip((axis1, axis2), coordinates[line.end]))
+        rows += [GridRow(c1, c2, row) for (c1, c2), row in zip(coordinates, values)]
     return SweepResult(spec=spec, rows=tuple(rows))
+
+
+def _named(exc: Exception, coordinates) -> Exception:
+    """The same exception, class and traceback kept, its message prefixed
+    by the grid point's coordinates."""
+    where = ", ".join(f"{axis.column} = {_fmt(v)}" for axis, v in coordinates
+                      if v is not None)
+    exc.args = (f"{where}: {exc}",)
+    return exc
+
+
+# Configuration keys that leave the drift unchanged.
+_DRIFT_FREE_KEYS = frozenset({"r", "theta_rad", "temperature_k"})
+
+# build_diffusion fills d[0, 0], d[1, 1], d[0, 1] = d[1, 0],
+# d[2, 2] = d[3, 3] and d[4, 4] = d[5, 5], and nothing else: D is the sum of
+# these five entries times the symmetric unit patterns of _NOISE_BASIS.
+_NOISE_ROWS, _NOISE_COLS = (0, 1, 0, 2, 4), (0, 1, 1, 2, 4)
+_NOISE_BASIS = np.zeros((5, 6, 6))
+_NOISE_BASIS[range(5), _NOISE_ROWS, _NOISE_COLS] = 1.0
+_NOISE_BASIS[range(5), _NOISE_COLS, _NOISE_ROWS] = 1.0
+_NOISE_BASIS[3, 3, 3] = _NOISE_BASIS[4, 5, 5] = 1.0
+
+
+class _Line:
+    """One line of grid points, evaluated stage by stage.
+
+    ``end`` is the index of the first failing point so far (the line's
+    length while none has failed) and ``error`` its exception.  Each stage
+    runs only on the points before ``end``, so a later stage can only move
+    the failure to an earlier point: the one reported is the first point
+    in grid order that fails, with the first error it raises.
+    """
+
+    def __init__(self, values):
+        self.values = values
+        self.end = len(values)
+        self.error = None
+
+    def fail(self, index: int, exc: Exception) -> None:
+        self.end, self.error = index, exc
+
+    def each(self, fn, items) -> list:
+        """fn of each item before ``end``, in order, up to the first that raises."""
+        out = []
+        for index, item in enumerate(items[:self.end]):
+            try:
+                out.append(fn(item))
+            except Exception as exc:
+                self.fail(index, exc)
+                break
+        return out
+
+    def evaluate(self, make_point, fixed_drift: bool, outputs) -> list:
+        """Output tuples of the line's points, None where unstable."""
+        points = self.each(make_point, self.values)
+        if fixed_drift:
+            covariances = _fixed_drift_line(points, self)
+        else:
+            covariances = self.each(_stable_covariance, points)
+        stable = [k for k, v in enumerate(covariances[:self.end]) if v is not None]
+        if not stable:
+            return [None] * len(covariances)
+        stack = np.array([covariances[k] for k in stable])
+        try:
+            columns = quantities(stack, outputs)
+        except Exception as exc:
+            # Name the first point whose measures fail on their own.
+            self.fail(stable[0], exc)
+            for k, v in zip(stable, stack):
+                try:
+                    quantities(v, outputs)
+                except Exception as point_exc:
+                    self.fail(k, point_exc)
+                    break
+            return []
+        values = [None] * len(covariances)
+        for k, row in zip(stable, zip(*(columns[name] for name in outputs))):
+            values[k] = row
+        return values
+
+
+def _stable_covariance(point):
+    """The steady-state covariance array at one point, None if unstable."""
+    try:
+        return steady_state(point)[2].v
+    except UnstableSystemError:
+        return None
+
+
+def _diffusion(point):
+    params = point.params
+    env = Environment.from_temperature(point.temperature, params)
+    return build_diffusion(params, point.drive, env)
+
+
+def _fixed_drift_line(points, line: _Line) -> list:
+    """Steady-state covariances of points that share one drift.
+
+    The drift of the first point is built and checked once; if it is
+    unstable, every point is.  The first point's V_0 is solved as
+    solve_lyapunov solves it.  The Lyapunov equation is linear in D, so
+    the five solves V_k of _NOISE_BASIS give every point's
+    V = V_0 + sum_k (d_k - d_0k) V_k, symmetrized, with D from the point's
+    own build_diffusion; a point whose D equals the first point's gets the
+    values of V_0, since it adds exact zeros.  Each V must pass what
+    solve_lyapunov checks: the residual bound, a finite V and a positive
+    diagonal.  A failing drift or solve names the first point.
+    """
+    if not points:
+        return []
+    params = points[0].params
+    try:
+        drift = build_drift(detunings_from(params), params)
+        if not stability_check(drift).stable:
+            return [None] * len(points)
+    except Exception as exc:
+        line.fail(0, exc)
+        return []
+    diffusions = line.each(_diffusion, points)
+    if not diffusions:
+        return []
+    a = drift.a
+    d = np.array([diffusion.d for diffusion in diffusions])
+    try:
+        v0 = _bartels_stewart(a, d[0])
+        basis = np.array([_bartels_stewart(a, e) for e in _NOISE_BASIS])
+    except Exception as exc:
+        line.fail(0, exc)
+        return []
+    v0 = 0.5 * (v0 + v0.T)
+    delta = d[:, _NOISE_ROWS, _NOISE_COLS] - d[0, _NOISE_ROWS, _NOISE_COLS]
+    v = v0 + (delta @ basis.reshape(5, 36)).reshape(-1, 6, 6)
+    v = 0.5 * (v + v.transpose(0, 2, 1))
+    # Screen the line at once; a suspect point gets solve_lyapunov's own
+    # check, which raises its error.
+    residual = np.abs(a @ v + v @ a.T + d).max(axis=(1, 2))
+    suspect = ~(residual <= RESIDUAL_RTOL * np.abs(d).max(axis=(1, 2)))
+    suspect |= ~(np.diagonal(v, axis1=1, axis2=2) > 0.0).all(axis=1)
+    for k in np.flatnonzero(suspect).tolist():
+        try:
+            _checked_solution(_bartels_stewart.__name__, a, d[k], v[k])
+        except Exception as exc:
+            line.fail(k, exc)
+            break
+    return list(v[:line.end])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Systems that several test modules share, built the way every consumer
-builds an operating point: through ``config`` and ``sweep.steady_state``."""
+builds an operating point: through ``config`` and ``sweep.steady_state``,
+and the point-by-point reference for ``sweep.run_sweep``."""
 
 import math
 
 import numpy as np
 
 from cavmag import config
-from cavmag.sweep import steady_state
+from cavmag.dynamics import UnstableSystemError
+from cavmag.sweep import (GridRow, SweepResult, axis_values, get_axis, point_quantities,
+                          steady_state)
 
 # Steady-state <dx1^2> at the reference point (r = 2, theta = 0, 20 mK),
 # frozen from the vectorized 36x36 backend.
@@ -42,3 +45,57 @@ def rotation(*phis):
         c, s = math.cos(phi), math.sin(phi)
         out[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, s], [-s, c]]
     return out
+
+
+def per_point_sweep(spec):
+    """``run_sweep(spec)`` evaluated point by point: ``steady_state`` and
+    ``point_quantities`` at every grid point, axis1-major, an unstable
+    point giving an unstable row.  The reference for the line-at-a-time
+    evaluation of ``run_sweep``."""
+    axis1, axis2 = get_axis(spec.axis1), spec.axis2 and get_axis(spec.axis2)
+    rows = []
+    for v1 in axis_values(spec.range1):
+        base = axis1.apply(spec.fixed, v1)
+        for v2 in axis_values(spec.range2) if axis2 else [None]:
+            point = axis2.apply(base, v2) if axis2 else base
+            try:
+                _, _, cm = steady_state(point)
+            except UnstableSystemError:
+                rows.append(GridRow(v1, v2, None))
+                continue
+            quantities = point_quantities(cm)
+            rows.append(GridRow(v1, v2, tuple(quantities[n] for n in spec.outputs)))
+    return SweepResult(spec=spec, rows=tuple(rows))
+
+
+# Presets whose sweep lines fix the drift: r, theta or temperature along
+# axis2, or along axis1 in the 1D fig3.
+FIXED_DRIFT_PRESETS = ("fig3", "fig4b", "fig5b", "fig6a", "fig6b", "fig6c")
+
+# Relative tolerance of a line-at-a-time sweep against per_point_sweep.
+SWEEP_RTOL = 1e-10
+
+
+def sweep_mismatches(result, reference):
+    """Cells of ``result`` that differ from ``reference`` by more than
+    SWEEP_RTOL, as (row index, column, value, reference value).
+
+    A squeezing cell, -10 log10(var / 1/2), is held to the change that a
+    relative SWEEP_RTOL in its variance makes: 10 / ln 10 * SWEEP_RTOL dB.
+    Relative to itself it cannot be held where the squeezing is nearly 0
+    dB (r = 0 and a cold bath), since there a variance one rounding step
+    from 1/2 moves it by a large fraction of itself.
+    """
+    assert [(r.axis1_value, r.axis2_value, r.stable) for r in result.rows] == \
+        [(r.axis1_value, r.axis2_value, r.stable) for r in reference.rows]
+    mismatches = []
+    for name in result.spec.outputs:
+        in_db = name.startswith("squeezing_db")
+        cells = zip(result.column(name), reference.column(name))
+        for k, (x, ref) in enumerate(cells):
+            if x == ref:  # also both None on an unstable row
+                continue
+            bound = 10.0 / math.log(10.0) * SWEEP_RTOL if in_db else SWEEP_RTOL * abs(ref)
+            if not abs(x - ref) <= bound:
+                mismatches.append((k, name, x, ref))
+    return mismatches

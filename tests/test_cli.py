@@ -217,9 +217,15 @@ def test_failing_grid_point_is_named_with_unchanged_exit_code(monkeypatch, capsy
     def explode(drift, diffusion):
         raise ArithmeticError("residual exceeds bound")
 
-    monkeypatch.setattr(cavmag.sweep, "solve_lyapunov", explode)
+    # fig3's temperature line shares one drift: its solves are the first
+    # point's and the basis solves, and a failure names the first point.
+    monkeypatch.setattr(cavmag.sweep, "_bartels_stewart", explode)
     assert _failure(capsys, 2, "sweep", "--preset", "fig3", "--points", "3") == (
         "numerical failure: temperature_k = 0: residual exceeds bound\n")
+    monkeypatch.setattr(cavmag.sweep, "solve_lyapunov", explode)
+    assert _failure(capsys, 2, "sweep", "--preset", "fig2b", "--points", "3") == (
+        "numerical failure: delta_a_hz = -15000000, delta_m_hz = -15000000: "
+        "residual exceeds bound\n")
 
 
 @pytest.mark.parametrize("args, message", [

@@ -1,8 +1,9 @@
-"""The per-point path calls LAPACK directly (dgeev, dgees + dtrsyl, zgeev,
-dsyev).  These tests pin those calls to the numpy/scipy wrappers they
-replace, and pin their error contract: non-finite or misshapen input is
-rejected before LAPACK runs, and a nonzero LAPACK info code raises
-LinAlgError."""
+"""The per-point path calls LAPACK directly (dgeev, dgees + dtrsyl,
+dsyev), and the symplectic spectrum of one matrix or of a stack comes from
+one numpy eigvals call (LAPACK zgeev).  These tests pin those calls to the
+numpy/scipy wrappers they replace, and pin their error contract: non-finite
+or misshapen input is rejected before LAPACK runs, and a LAPACK failure
+raises LinAlgError naming the routine."""
 
 import re
 
@@ -66,13 +67,27 @@ def test_log_negativity_matches_numpy_eigvals():
 
 
 def test_sweep_path_does_not_use_the_wrappers(monkeypatch):
+    # numpy's eigvals is the one wrapper the sweep calls: once per line, for
+    # the spectra of all its stable points, on detuning lines and on lines
+    # whose drift is fixed alike.
     def forbidden(*args, **kwargs):
-        raise AssertionError("wrapper called on the per-point path")
+        raise AssertionError("wrapper called on the sweep path")
+
+    calls = []
+
+    def counted_eigvals(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    eigvals = np.linalg.eigvals
     monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", forbidden)
-    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    result = cavmag.sweep.run_sweep(cavmag.sweep.preset("fig2b", points=3))
-    assert all(row.stable for row in result.rows)
+    for name in ("fig2b", "fig5b"):
+        calls.clear()
+        result = cavmag.sweep.run_sweep(cavmag.sweep.preset(name, points=3))
+        assert all(row.stable for row in result.rows)
+        assert calls == [(3, 4, 4)] * 3, name
 
 
 # -- error contract ---------------------------------------------------------
@@ -180,7 +195,14 @@ def test_invalid_v0_is_refused_before_any_work(monkeypatch, v0, t_final):
 
 
 def _fail_routine(monkeypatch, name):
-    """Replace lapack.<name> by the real routine with info forced to 1."""
+    """Replace lapack.<name> by the real routine with info forced to 1; for
+    zgeev, which numpy's eigvals calls, raise numpy's error for info > 0."""
+    if name == "zgeev":
+        def not_converged(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", not_converged)
+        return
     real = getattr(lapack, name)
 
     def failing(*args, **kwargs):
@@ -226,21 +248,64 @@ def test_zgeev_failure_raises_in_log_negativity(monkeypatch):
         log_negativity(two_mode)
 
 
-def test_symplectic_eigenvalues_call_zgeev_directly(monkeypatch):
+def _covariance_stack():
+    """Seeded stack of 4x4 covariances B B^T + I/2: each is at least the
+    vacuum, so physical."""
+    rng = np.random.default_rng(23)
+    b = rng.normal(size=(40, 4, 4))
+    return b @ b.transpose(0, 2, 1) + 0.5 * np.eye(4)
+
+
+def test_symplectic_eigenvalues_of_a_stack_make_one_eigvals_call(monkeypatch):
+    stack = _covariance_stack()
     cm = solve_lyapunov(*_reference_system())
-    expected = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(3) @ cm.v)))[::2]
+    per_matrix = [symplectic_eigenvalues(v) for v in stack]
+    calls = []
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("numpy eigvals called")
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
 
-    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
-    got = symplectic_eigenvalues(cm.v)
-    assert np.abs(got - expected).max() <= 1e-14 * expected.max()
-    with pytest.raises(np.linalg.LinAlgError, match="finite"):
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    got = symplectic_eigenvalues(stack)
+    assert calls == [(40, 4, 4)]
+    assert got.shape == (40, 2)
+    assert np.array_equal(got, per_matrix)  # bit for bit
+    # ... and bit for bit what scipy's zgeev wrapper gives each matrix.
+    assert np.array_equal(got, [
+        np.sort(np.abs(lapack.zgeev(1j * symplectic_form(2) @ v, compute_vl=0,
+                                    compute_vr=0)[0]))[::2] for v in stack])
+    assert np.array_equal(symplectic_eigenvalues(stack.reshape(5, 8, 4, 4)),
+                          got.reshape(5, 8, 2))
+    expected = np.sort(np.abs(eigvals(1j * symplectic_form(3) @ cm.v)))[::2]
+    assert np.abs(symplectic_eigenvalues(cm.v) - expected).max() <= 1e-14 * expected.max()
+
+
+def test_stacked_spectrum_errors_name_the_failing_matrix():
+    stack = _covariance_stack()
+    stack[9] = np.diag([2.0, -1.0, 1.0, 1.0])
+    stack[15] = np.diag([2.0, -1.0, 1.0, 1.0])
+    with pytest.raises(ArithmeticError, match="^matrix 9: symplectic spectrum has imaginary"):
+        symplectic_eigenvalues(stack)
+    with pytest.raises(ArithmeticError, match=r"^matrix \(1, 1\): symplectic"):
+        symplectic_eigenvalues(stack[:16].reshape(2, 8, 4, 4))
+    stack[12, 1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^matrix 12: eigenvalue input must be finite$"):
+        symplectic_eigenvalues(stack)
+    # A single matrix keeps the message without an index.
+    with pytest.raises(np.linalg.LinAlgError, match="^eigenvalue input must be finite$"):
         symplectic_eigenvalues(np.full((4, 4), np.nan))
+
+
+def test_zgeev_failure_names_zgeev(monkeypatch):
+    cm = solve_lyapunov(*_reference_system())
     _fail_routine(monkeypatch, "zgeev")
-    with pytest.raises(np.linalg.LinAlgError, match="zgeev"):
-        symplectic_eigenvalues(cm.v)
+    for v in (cm.v, _covariance_stack()):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^LAPACK zgeev failed: Eigenvalues did not converge$"):
+            symplectic_eigenvalues(v)
 
 
 def test_dsyev_failure_raises_in_diffusion_matrix(monkeypatch):

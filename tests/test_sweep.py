@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import math
 from dataclasses import fields, replace
 from pathlib import Path
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 import cavmag.sweep as sweep_mod
-from _systems import reference_point
+from _systems import FIXED_DRIFT_PRESETS, per_point_sweep, reference_point, sweep_mismatches
 from cavmag import config
 from cavmag.sweep import (
     QUANTITIES,
@@ -99,25 +101,32 @@ def test_axis_keys_match_what_it_applies(axis):
             assert got[key] == want[key], key
 
 
+def _spy(monkeypatch, name, fail_on=None, exc=None):
+    """Record the calls of sweep.<name>; the fail_on-th (from 1) raises exc."""
+    real, calls = getattr(sweep_mod, name), []
+
+    def spy(*args):
+        calls.append(args)
+        if len(calls) == fail_on:
+            raise exc
+        return real(*args)
+
+    monkeypatch.setattr(sweep_mod, name, spy)
+    return calls
+
+
 def test_failing_grid_point_names_itself(monkeypatch):
     # The exception keeps its class; its message gains the point's axis
-    # columns and values.
-    solve = sweep_mod.solve_lyapunov
-    calls = []
-
-    def second_solve_fails(drift, diffusion):
-        calls.append(drift)
-        if len(calls) == 2:
-            raise np.linalg.LinAlgError("LAPACK dgees failed (info = 1)")
-        return solve(drift, diffusion)
-
-    monkeypatch.setattr(sweep_mod, "solve_lyapunov", second_solve_fails)
+    # columns and values.  On an r x theta grid the diffusion is the first
+    # per-point stage; its second call is at (r, theta) = (0, 1).
+    _spy(monkeypatch, "build_diffusion", 2,
+         np.linalg.LinAlgError("LAPACK dsyev failed (info = 1)"))
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), axis2="theta",
                      range2=(0.0, 1.0, 2), fixed=reference_point(), outputs=("var_x1",))
     with pytest.raises(np.linalg.LinAlgError) as info:
         run_sweep(spec)
     assert type(info.value) is np.linalg.LinAlgError
-    assert str(info.value) == "r = 0, theta_rad = 1: LAPACK dgees failed (info = 1)"
+    assert str(info.value) == "r = 0, theta_rad = 1: LAPACK dsyev failed (info = 1)"
     # A failure applying axis1 names axis1 alone.
     spec = SweepSpec(axis1="delta_a", range1=(-2e10, 0.0, 2), axis2="r",
                      range2=(0.0, 1.0, 2), fixed=reference_point(), outputs=("var_x1",))
@@ -125,6 +134,52 @@ def test_failing_grid_point_names_itself(monkeypatch):
         run_sweep(spec)
     assert str(info.value) == ("delta_a_hz = -20000000000: "
                                "omega_a must be nonnegative, got -10000.0")
+
+
+def test_failing_solve_on_a_detuning_line_names_its_point(monkeypatch):
+    _spy(monkeypatch, "solve_lyapunov", 2,
+         np.linalg.LinAlgError("LAPACK dgees failed (info = 1)"))
+    spec = SweepSpec(axis1="delta_a", range1=(0.0, 1e6, 2), axis2="delta_m",
+                     range2=(0.0, 1e6, 2), fixed=reference_point(), outputs=("var_x1",))
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        run_sweep(spec)
+    assert str(info.value) == ("delta_a_hz = 0, delta_m_hz = 1000000: "
+                               "LAPACK dgees failed (info = 1)")
+
+
+def test_failing_basis_solve_names_the_first_point_of_its_line(monkeypatch):
+    # Six solves per line, the first point's and the five basis solves: the
+    # eighth is the second line's second.
+    _spy(monkeypatch, "_bartels_stewart", 8, ArithmeticError("dtrsyl scaled the solution"))
+    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), axis2="temperature",
+                     range2=(0.1, 0.2, 3), fixed=reference_point(), outputs=("var_x1",))
+    with pytest.raises(ArithmeticError) as info:
+        run_sweep(spec)
+    assert str(info.value) == ("r = 1, temperature_k = 0.10000000000000001: "
+                               "dtrsyl scaled the solution")
+
+
+def test_first_failing_point_of_a_line_is_named(monkeypatch):
+    # The line is evaluated stage by stage, but the point named is the first
+    # in grid order to fail, with the error it raises on its own: here the
+    # measures of theta = 0.5 fail, and the diffusion of theta = 1 later.
+    _spy(monkeypatch, "build_diffusion", 3, ValueError("third diffusion"))
+    real, alone = sweep_mod.quantities, []
+
+    def second_point_fails(v, names):
+        if np.ndim(v) == 3:
+            raise ArithmeticError("a stack fails")
+        alone.append(v)
+        if len(alone) == 2:
+            raise ArithmeticError("the second point fails")
+        return real(v, names)
+
+    monkeypatch.setattr(sweep_mod, "quantities", second_point_fails)
+    spec = SweepSpec(axis1="theta", range1=(0.0, 1.0, 3), fixed=reference_point(r=1.0),
+                     outputs=("var_x1",))
+    with pytest.raises(ArithmeticError) as info:
+        run_sweep(spec)
+    assert str(info.value) == "theta_rad = 0.5: the second point fails"
 
 
 @pytest.mark.parametrize("axis, rng, message", [
@@ -353,7 +408,7 @@ def _unstable_every(monkeypatch, period):
 
 def test_csv_unstable_rows_have_empty_cells(monkeypatch):
     _unstable_every(monkeypatch, 2)
-    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 4), fixed=reference_point(),
+    spec = SweepSpec(axis1="delta_a", range1=(0.0, 1e6, 4), fixed=reference_point(),
                      outputs=("log_negativity", "duan_sum"))
     text = format_csv(run_sweep(spec))
     lines = text.strip().split("\n")
@@ -365,12 +420,22 @@ def test_csv_unstable_rows_have_empty_cells(monkeypatch):
 
 def test_all_points_unstable_still_completes(monkeypatch):
     calls = _unstable_every(monkeypatch, 1)
-    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 3), fixed=reference_point(),
+    spec = SweepSpec(axis1="delta_a", range1=(0.0, 1e6, 3), fixed=reference_point(),
                      outputs=("log_negativity",))
     result = run_sweep(spec)
     assert len(calls) == 3
     assert len(result.rows) == 3
     assert all(not row.stable and row.values is None for row in result.rows)
+
+
+def test_unstable_fixed_drift_gives_unstable_rows_after_one_check(monkeypatch):
+    calls = _unstable_every(monkeypatch, 1)
+    diffusions = _spy(monkeypatch, "build_diffusion")
+    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 5), fixed=reference_point(),
+                     outputs=("log_negativity",))
+    result = run_sweep(spec)
+    assert len(calls) == 1 and not diffusions
+    assert [row.values for row in result.rows] == [None] * 5
 
 
 def test_certification_chain_clean_on_preset():
@@ -440,3 +505,56 @@ def test_readme_pipeline_is_the_steady_state_of_the_defaults(capsys):
     assert np.array_equal(names["cm"].v, cm.v)
     log_negativity, squeezing_db = capsys.readouterr().out.splitlines()[:2]
     assert (f"{float(log_negativity):.3f}", f"{float(squeezing_db):.2f}") == ("0.838", "2.27")
+
+
+@pytest.mark.parametrize("name", FIXED_DRIFT_PRESETS)
+def test_fixed_drift_lines_match_the_per_point_pipeline(name):
+    spec = preset(name, 15)
+    assert sweep_mismatches(run_sweep(spec), per_point_sweep(spec)) == []
+
+
+def test_detuning_grid_matches_the_per_point_pipeline_byte_for_byte():
+    spec = preset("fig2b", 15)
+    assert format_csv(run_sweep(spec)) == format_csv(per_point_sweep(spec))
+
+
+def test_vacuum_line_at_zero_temperature():
+    # r = 0 and T = 0: the steady state is the vacuum, and every point of a
+    # theta line has the first point's diffusion, so its exact covariance.
+    fixed = reference_point(r=0.0, temperature_k=0.0)
+    spec = SweepSpec(axis1="theta", range1=(0.0, 3.0, 4), fixed=fixed,
+                     outputs=QUANTITIES)
+    result = run_sweep(spec)
+    assert format_csv(result) == format_csv(per_point_sweep(spec))
+    assert max(result.column("log_negativity")) <= 1e-12
+    assert result.column("var_my")[0] == pytest.approx(0.5, rel=1e-15)
+    # The r line from the vacuum: exact at r = 0, and within tolerance after.
+    spec = SweepSpec(axis1="r", range1=(0.0, 2.0, 5), fixed=fixed, outputs=QUANTITIES)
+    result, reference = run_sweep(spec), per_point_sweep(spec)
+    assert result.rows[0] == reference.rows[0]
+    assert sweep_mismatches(result, reference) == []
+
+
+@pytest.mark.parametrize("points", [2, 9])
+def test_fixed_drift_line_builds_and_solves_once(monkeypatch, points):
+    drifts = _spy(monkeypatch, "build_drift")
+    checks = _spy(monkeypatch, "stability_check")
+    solves = _spy(monkeypatch, "_bartels_stewart")
+    per_point = _spy(monkeypatch, "solve_lyapunov")
+    spec = SweepSpec(axis1="temperature", range1=(0.0, 0.5, points),
+                     fixed=reference_point(), outputs=("log_negativity",))
+    assert all(row.stable for row in run_sweep(spec).rows)
+    # The first point's solve and the five basis solves.
+    assert (len(drifts), len(checks), len(solves), len(per_point)) == (1, 1, 6, 0)
+    assert len({id(args[0]) for args in solves}) == 1  # one drift array
+
+
+def test_every_traced_name_resolves():
+    # The benchmark tracer patches these names; one that is missing would
+    # crash every traced run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.TARGETS:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
