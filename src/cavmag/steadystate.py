@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, lapack
 
-from .dynamics import (DiffusionMatrix, _check_info, _checked_drift_array, _drift_array,
-                       stability_check)
+from .dynamics import DiffusionMatrix, _check_info, _checked_drift_array, stability_check
 
 # Max-norm residual of A V + V A^T + D, relative to the max-norm of D.
 RESIDUAL_RTOL = 1e-10
@@ -149,17 +148,18 @@ def _diffusion_array(d) -> np.ndarray:
 
 def _lyapunov_backend(solve):
     """The contract of every steady-state backend around its raw solve of
-    A V + V A^T = -D: an A that is not 6x6 or has a non-finite entry raises
-    numpy.linalg.LinAlgError, an unstable A UnstableSystemError, and a D
-    that is not 6x6 or has a non-finite entry ValueError; the
-    symmetrized V must meet max|A V + V A^T + D| <= 1e-10 max|D| (a NaN
-    residual fails) or ArithmeticError is raised.
+    A V + V A^T = -D, checked in this order before any LAPACK call: an A
+    that is not 6x6 or has a non-finite entry raises
+    numpy.linalg.LinAlgError, a D that is not 6x6 or has a non-finite entry
+    ValueError, and an unstable A UnstableSystemError; the symmetrized V
+    must meet max|A V + V A^T + D| <= 1e-10 max|D| (a NaN residual fails)
+    or ArithmeticError is raised.
     """
     @functools.wraps(solve)
     def backend(a, d) -> CovarianceMatrix:
-        a_arr = _drift_array(a)
-        stability_check(a_arr).require()
+        a_arr = _checked_drift_array(a)
         d_arr = _diffusion_array(d)
+        stability_check(a_arr).require()
         return _checked_solution(solve.__name__, a_arr, d_arr, solve(a_arr, d_arr))
 
     return backend
@@ -188,19 +188,24 @@ def _no_sort(wr, wi):
     return None
 
 
-@_lyapunov_backend
-def solve_lyapunov(a, d):
-    """Steady-state covariance via the Bartels-Stewart algorithm.
+def _schur_factor(a: np.ndarray):
+    """The real Schur form A = U T U^T (dgees) as (T, U); a LAPACK failure
+    raises numpy.linalg.LinAlgError."""
+    t, _, _, _, u, _, info = lapack.dgees(_no_sort, a)
+    _check_info("dgees", info)
+    return t, u
 
-    A = U T U^T (dgees), then T Y + Y T^T = U^T (-D) U (dtrsyl) and
-    V = U Y U^T: the sequence of scipy.linalg.solve_continuous_lyapunov.
+
+def _schur_solve(factor, d: np.ndarray) -> np.ndarray:
+    """The unsymmetrized V of A V + V A^T = -D from A's Schur factor (T, U):
+    T Y + Y T^T = U^T (-D) U (dtrsyl), then V = U Y U^T.
+
     A LAPACK failure raises numpy.linalg.LinAlgError.  dtrsyl solves
     T Y + Y T^T = scale C, with scale < 1 only where Y would overflow
     (from max|D| of about 3e292); such a solve raises ArithmeticError
     naming the scale rather than return a rescaled Y.
     """
-    t, _, _, _, u, _, info = lapack.dgees(_no_sort, a)
-    _check_info("dgees", info)
+    t, u = factor
     y, scale, info = lapack.dtrsyl(t, t, u.T.dot((-d).dot(u)), tranb="T")
     _check_info("dtrsyl", info)
     if scale != 1.0:
@@ -211,9 +216,16 @@ def solve_lyapunov(a, d):
     return u.dot(y).dot(u.T)
 
 
-# The raw Bartels-Stewart solve, without the backend's input and residual
-# checks; its caller owns them (the sweep's basis solves).
-_bartels_stewart = solve_lyapunov.__wrapped__
+@_lyapunov_backend
+def solve_lyapunov(a, d):
+    """Steady-state covariance via the Bartels-Stewart algorithm.
+
+    _schur_factor then _schur_solve: the sequence of
+    scipy.linalg.solve_continuous_lyapunov.  A sweep line that shares one
+    drift factors it once and calls _schur_solve per point, which gives
+    each point the bits of this function.
+    """
+    return _schur_solve(_schur_factor(a), d)
 
 
 @_lyapunov_backend

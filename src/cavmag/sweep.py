@@ -34,7 +34,8 @@ from .model import (
     hz_to_internal,
     internal_to_hz,
 )
-from .steadystate import RESIDUAL_RTOL, _bartels_stewart, _checked_solution, solve_lyapunov
+from .steadystate import (RESIDUAL_RTOL, _checked_solution, _schur_factor, _schur_solve,
+                          solve_lyapunov)
 
 # The sweep reaches these through measures.quantities; the benchmark tracer
 # still patches them under cavmag.sweep, so they stay importable here.
@@ -181,8 +182,7 @@ def steady_state(point: FixedPoint):
     params = point.params
     drift = build_drift(detunings_from(params), params)
     stability_check(drift).require()
-    env = Environment.from_temperature(point.temperature, params)
-    diffusion = build_diffusion(params, point.drive, env)
+    diffusion = _diffusion(point)
     return drift, diffusion, solve_lyapunov(drift, diffusion)
 
 
@@ -201,10 +201,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid, axis1-major then axis2, deterministically.
 
     The grid is evaluated one line at a time: the axis2 values at one
-    axis1 value, or all of axis1 in a 1D sweep.  Where the line's axis sets
-    only r, theta or temperature, every point of the line shares one
-    drift: it is built and checked once, and each point's covariance is
-    assembled from the first point's solve and five basis solves (see
+    axis1 value, or all of axis1 in a 1D sweep.  Where every point of the
+    line has the first point's SystemParams, the drift's only input, the
+    drift is built, checked and Schur-factored once, and each point's own
+    diffusion is solved as solve_lyapunov solves it, to the same bits (see
     _fixed_drift_line).  Every other line solves each point with
     steady_state.  The measures of a line's stable points come from one
     measures.quantities call.
@@ -217,7 +217,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     axis1, axis2 = _AXES[spec.axis1], _AXES.get(spec.axis2)
     line_axis = axis2 or axis1
-    fixed_drift = set(line_axis.keys) <= _DRIFT_FREE_KEYS
     grid1 = axis_values(spec.range1)
     rows = []
     for v1 in grid1 if axis2 else [None]:
@@ -230,8 +229,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 raise _named(exc, ((axis1, v1),))
             coordinates = [(v1, v2) for v2 in axis_values(spec.range2)]
         line = _Line([c[1] if axis2 else c[0] for c in coordinates])
-        values = line.evaluate(lambda v: line_axis.apply(base, v), fixed_drift,
-                               spec.outputs)
+        values = line.evaluate(lambda v: line_axis.apply(base, v), spec.outputs)
         if line.error is not None:
             raise _named(line.error, zip((axis1, axis2), coordinates[line.end]))
         rows += [GridRow(c1, c2, row) for (c1, c2), row in zip(coordinates, values)]
@@ -245,19 +243,6 @@ def _named(exc: Exception, coordinates) -> Exception:
                       if v is not None)
     exc.args = (f"{where}: {exc}",)
     return exc
-
-
-# Configuration keys that leave the drift unchanged.
-_DRIFT_FREE_KEYS = frozenset({"r", "theta_rad", "temperature_k"})
-
-# build_diffusion fills d[0, 0], d[1, 1], d[0, 1] = d[1, 0],
-# d[2, 2] = d[3, 3] and d[4, 4] = d[5, 5], and nothing else: D is the sum of
-# these five entries times the symmetric unit patterns of _NOISE_BASIS.
-_NOISE_ROWS, _NOISE_COLS = (0, 1, 0, 2, 4), (0, 1, 1, 2, 4)
-_NOISE_BASIS = np.zeros((5, 6, 6))
-_NOISE_BASIS[range(5), _NOISE_ROWS, _NOISE_COLS] = 1.0
-_NOISE_BASIS[range(5), _NOISE_COLS, _NOISE_ROWS] = 1.0
-_NOISE_BASIS[3, 3, 3] = _NOISE_BASIS[4, 5, 5] = 1.0
 
 
 class _Line:
@@ -289,10 +274,11 @@ class _Line:
                 break
         return out
 
-    def evaluate(self, make_point, fixed_drift: bool, outputs) -> list:
+    def evaluate(self, make_point, outputs) -> list:
         """Output tuples of the line's points, None where unstable."""
         points = self.each(make_point, self.values)
-        if fixed_drift:
+        # SystemParams is the only input of build_drift.
+        if all(point.params == points[0].params for point in points):
             covariances = _fixed_drift_line(points, self)
         else:
             covariances = self.each(_stable_covariance, points)
@@ -336,14 +322,14 @@ def _fixed_drift_line(points, line: _Line) -> list:
     """Steady-state covariances of points that share one drift.
 
     The drift of the first point is built and checked once; if it is
-    unstable, every point is.  The first point's V_0 is solved as
-    solve_lyapunov solves it.  The Lyapunov equation is linear in D, so
-    the five solves V_k of _NOISE_BASIS give every point's
-    V = V_0 + sum_k (d_k - d_0k) V_k, symmetrized, with D from the point's
-    own build_diffusion; a point whose D equals the first point's gets the
-    values of V_0, since it adds exact zeros.  Each V must pass what
-    solve_lyapunov checks: the residual bound, a finite V and a positive
-    diagonal.  A failing drift or solve names the first point.
+    unstable, every point is.  Each point builds its own diffusion, and
+    its V comes from the drift's one Schur factor by the solve step of
+    solve_lyapunov, symmetrized: the bits steady_state gives that point.
+    The line is screened at once for what solve_lyapunov checks (the
+    residual bound and a positive diagonal); a suspect point is checked
+    by solve_lyapunov's own check, which raises its error.  A failing
+    drift or factorization names the first point, and a failing diffusion
+    or solve its own point.
     """
     if not points:
         return []
@@ -359,25 +345,23 @@ def _fixed_drift_line(points, line: _Line) -> list:
     if not diffusions:
         return []
     a = drift.a
-    d = np.array([diffusion.d for diffusion in diffusions])
     try:
-        v0 = _bartels_stewart(a, d[0])
-        basis = np.array([_bartels_stewart(a, e) for e in _NOISE_BASIS])
+        factor = _schur_factor(a)
     except Exception as exc:
         line.fail(0, exc)
         return []
-    v0 = 0.5 * (v0 + v0.T)
-    delta = d[:, _NOISE_ROWS, _NOISE_COLS] - d[0, _NOISE_ROWS, _NOISE_COLS]
-    v = v0 + (delta @ basis.reshape(5, 36)).reshape(-1, 6, 6)
+    d = [diffusion.d for diffusion in diffusions]
+    v = line.each(lambda dk: _schur_solve(factor, dk), d)
+    if not v:
+        return []
+    v, d = np.array(v), np.array(d[:len(v)])
     v = 0.5 * (v + v.transpose(0, 2, 1))
-    # Screen the line at once; a suspect point gets solve_lyapunov's own
-    # check, which raises its error.
     residual = np.abs(a @ v + v @ a.T + d).max(axis=(1, 2))
     suspect = ~(residual <= RESIDUAL_RTOL * np.abs(d).max(axis=(1, 2)))
     suspect |= ~(np.diagonal(v, axis1=1, axis2=2) > 0.0).all(axis=1)
     for k in np.flatnonzero(suspect).tolist():
         try:
-            _checked_solution(_bartels_stewart.__name__, a, d[k], v[k])
+            _checked_solution("solve_lyapunov", a, d[k], v[k])
         except Exception as exc:
             line.fail(k, exc)
             break

@@ -71,31 +71,3 @@ def per_point_sweep(spec):
 # Presets whose sweep lines fix the drift: r, theta or temperature along
 # axis2, or along axis1 in the 1D fig3.
 FIXED_DRIFT_PRESETS = ("fig3", "fig4b", "fig5b", "fig6a", "fig6b", "fig6c")
-
-# Relative tolerance of a line-at-a-time sweep against per_point_sweep.
-SWEEP_RTOL = 1e-10
-
-
-def sweep_mismatches(result, reference):
-    """Cells of ``result`` that differ from ``reference`` by more than
-    SWEEP_RTOL, as (row index, column, value, reference value).
-
-    A squeezing cell, -10 log10(var / 1/2), is held to the change that a
-    relative SWEEP_RTOL in its variance makes: 10 / ln 10 * SWEEP_RTOL dB.
-    Relative to itself it cannot be held where the squeezing is nearly 0
-    dB (r = 0 and a cold bath), since there a variance one rounding step
-    from 1/2 moves it by a large fraction of itself.
-    """
-    assert [(r.axis1_value, r.axis2_value, r.stable) for r in result.rows] == \
-        [(r.axis1_value, r.axis2_value, r.stable) for r in reference.rows]
-    mismatches = []
-    for name in result.spec.outputs:
-        in_db = name.startswith("squeezing_db")
-        cells = zip(result.column(name), reference.column(name))
-        for k, (x, ref) in enumerate(cells):
-            if x == ref:  # also both None on an unstable row
-                continue
-            bound = 10.0 / math.log(10.0) * SWEEP_RTOL if in_db else SWEEP_RTOL * abs(ref)
-            if not abs(x - ref) <= bound:
-                mismatches.append((k, name, x, ref))
-    return mismatches

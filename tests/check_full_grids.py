@@ -1,36 +1,30 @@
 """Every preset whose sweep lines fix the drift, at 101 points per axis,
-against the point-by-point pipeline (``_systems.per_point_sweep``).
-Prints each column's largest gap (relative, or in dB for squeezing) and exits 1 if any cell is
-outside ``_systems.sweep_mismatches``'s tolerance.  Too slow for the test
-suite (about 15 s); run it as
+against the point-by-point pipeline (``_systems.per_point_sweep``): the
+CSV text must be byte-identical.  Prints the number of differing CSV lines
+per preset and exits 1 if any preset has one.  Too slow for the test suite
+(about 15 s); run it as
 
     PYTHONPATH=src python tests/check_full_grids.py
 """
 
 import sys
 
-from _systems import FIXED_DRIFT_PRESETS, per_point_sweep, sweep_mismatches
-from cavmag.sweep import preset, run_sweep
+from _systems import FIXED_DRIFT_PRESETS, per_point_sweep
+from cavmag.sweep import format_csv, preset, run_sweep
 
 
 def main() -> int:
     failed = 0
     for name in FIXED_DRIFT_PRESETS:
         spec = preset(name)
-        result, reference = run_sweep(spec), per_point_sweep(spec)
-        gaps = {out: [(abs(x - ref), abs(x - ref) / abs(ref))
-                      for x, ref in zip(result.column(out), reference.column(out))
-                      if x != ref] or [(0.0, 0.0)]
-                for out in spec.outputs}
-        summary = ", ".join(
-            f"{out} {max(a for a, _ in gap):.1e} dB" if out.startswith("squeezing_db")
-            else f"{out} {max(r for _, r in gap):.1e} relative"
-            for out, gap in gaps.items())
-        mismatches = sweep_mismatches(result, reference)
-        print(f"{name}: largest gaps {summary}; {len(mismatches)} cells outside")
-        for mismatch in mismatches[:5]:
-            print(f"  row {mismatch[0]}, {mismatch[1]}: {mismatch[2]!r} != {mismatch[3]!r}")
-        failed += bool(mismatches)
+        result, reference = format_csv(run_sweep(spec)), format_csv(per_point_sweep(spec))
+        differing = [(lineno, line, ref) for lineno, (line, ref) in
+                     enumerate(zip(result.splitlines(), reference.splitlines()), start=1)
+                     if line != ref]
+        print(f"{name}: {len(differing)} CSV lines differ")
+        for lineno, line, ref in differing[:5]:
+            print(f"  line {lineno}: {line!r} != {ref!r}")
+        failed += result != reference
     return 1 if failed else 0
 
 

@@ -214,12 +214,12 @@ def test_failing_grid_point_is_named_with_unchanged_exit_code(monkeypatch, capsy
                     "--range", "delta_m=-2e10:0").startswith(
         "usage error: delta_a_hz = -15000000, delta_m_hz = -20000000000: omega_m1")
 
-    def explode(drift, diffusion):
+    def explode(*args):
         raise ArithmeticError("residual exceeds bound")
 
-    # fig3's temperature line shares one drift: its solves are the first
-    # point's and the basis solves, and a failure names the first point.
-    monkeypatch.setattr(cavmag.sweep, "_bartels_stewart", explode)
+    # fig3's temperature line shares one drift, factored once; each point's
+    # solve is its own, so a failure at the first names that point.
+    monkeypatch.setattr(cavmag.sweep, "_schur_solve", explode)
     assert _failure(capsys, 2, "sweep", "--preset", "fig3", "--points", "3") == (
         "numerical failure: temperature_k = 0: residual exceeds bound\n")
     monkeypatch.setattr(cavmag.sweep, "solve_lyapunov", explode)
@@ -311,6 +311,16 @@ def test_point_diffusion_rounding_message(capsys):
         "numerical failure: squeezing parameter r = 10 loses the diffusion matrix to "
         "rounding: diffusion matrix must be positive semidefinite (smallest eigenvalue "
         "-1.490e-07)\n")
+
+
+def test_large_r_sweep_names_the_point_that_the_per_point_path_names(capsys):
+    # Past r = 8 the steady states lose precision; a fixed-drift line solves
+    # each point as `cavmag point` does, so the refused point is the same.
+    assert _failure(capsys, 2, "sweep", "--preset", "fig5b", "--points", "7",
+                    "--range", "r=8:12", warns=True).splitlines()[-1] == (
+        "numerical failure: r = 8.6666666666666661, theta_rad = 0.89759790102565518: "
+        "symplectic spectrum has imaginary residue 3.684e-06; the matrix is not a "
+        "physical covariance")
 
 
 @pytest.mark.parametrize("setting, warning, scale", [

@@ -165,6 +165,20 @@ def test_drift_that_is_not_6x6_is_refused_before_any_work(monkeypatch, routine, 
         routine(-np.eye(size), np.eye(size))
 
 
+@pytest.mark.parametrize("d, message", [
+    (np.eye(4), "diffusion matrix must have shape (6, 6), got (4, 4)"),
+    (np.diag([1.0, np.nan, 1.0, 1.0, 1.0, 1.0]), "diffusion matrix must be finite"),
+], ids=["4x4", "nan"])
+@pytest.mark.parametrize("routine", [solve_lyapunov, solve_lyapunov_kron],
+                         ids=["solve_lyapunov", "solve_lyapunov_kron"])
+def test_diffusion_beside_a_stable_drift_is_refused_before_any_work(monkeypatch, routine,
+                                                                     d, message):
+    # D is checked after A's shape and before A's stability test runs dgeev.
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        routine(-np.eye(6), d)
+
+
 @pytest.mark.parametrize("routine", _DRIFT_CONSUMERS.values(), ids=_DRIFT_CONSUMERS)
 def test_empty_drift_never_reaches_lapack(capfd, routine):
     # Given a 0x0 matrix, dgeev prints an illegal-argument notice on stderr.

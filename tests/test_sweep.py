@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cavmag.sweep as sweep_mod
-from _systems import FIXED_DRIFT_PRESETS, per_point_sweep, reference_point, sweep_mismatches
+from _systems import FIXED_DRIFT_PRESETS, per_point_sweep, reference_point
 from cavmag import config
 from cavmag.sweep import (
     QUANTITIES,
@@ -147,15 +147,15 @@ def test_failing_solve_on_a_detuning_line_names_its_point(monkeypatch):
                                "LAPACK dgees failed (info = 1)")
 
 
-def test_failing_basis_solve_names_the_first_point_of_its_line(monkeypatch):
-    # Six solves per line, the first point's and the five basis solves: the
-    # eighth is the second line's second.
-    _spy(monkeypatch, "_bartels_stewart", 8, ArithmeticError("dtrsyl scaled the solution"))
+def test_failing_point_solve_names_its_own_point(monkeypatch):
+    # One solve per point of a fixed-drift line: the fifth is the second
+    # line's second point, which the per-point path names too.
+    _spy(monkeypatch, "_schur_solve", 5, ArithmeticError("dtrsyl scaled the solution"))
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), axis2="temperature",
                      range2=(0.1, 0.2, 3), fixed=reference_point(), outputs=("var_x1",))
     with pytest.raises(ArithmeticError) as info:
         run_sweep(spec)
-    assert str(info.value) == ("r = 1, temperature_k = 0.10000000000000001: "
+    assert str(info.value) == ("r = 1, temperature_k = 0.15000000000000002: "
                                "dtrsyl scaled the solution")
 
 
@@ -510,7 +510,7 @@ def test_readme_pipeline_is_the_steady_state_of_the_defaults(capsys):
 @pytest.mark.parametrize("name", FIXED_DRIFT_PRESETS)
 def test_fixed_drift_lines_match_the_per_point_pipeline(name):
     spec = preset(name, 15)
-    assert sweep_mismatches(run_sweep(spec), per_point_sweep(spec)) == []
+    assert format_csv(run_sweep(spec)) == format_csv(per_point_sweep(spec))
 
 
 def test_detuning_grid_matches_the_per_point_pipeline_byte_for_byte():
@@ -520,7 +520,7 @@ def test_detuning_grid_matches_the_per_point_pipeline_byte_for_byte():
 
 def test_vacuum_line_at_zero_temperature():
     # r = 0 and T = 0: the steady state is the vacuum, and every point of a
-    # theta line has the first point's diffusion, so its exact covariance.
+    # theta line has the first point's diffusion.
     fixed = reference_point(r=0.0, temperature_k=0.0)
     spec = SweepSpec(axis1="theta", range1=(0.0, 3.0, 4), fixed=fixed,
                      outputs=QUANTITIES)
@@ -528,25 +528,25 @@ def test_vacuum_line_at_zero_temperature():
     assert format_csv(result) == format_csv(per_point_sweep(spec))
     assert max(result.column("log_negativity")) <= 1e-12
     assert result.column("var_my")[0] == pytest.approx(0.5, rel=1e-15)
-    # The r line from the vacuum: exact at r = 0, and within tolerance after.
+    # The r line from the vacuum.
     spec = SweepSpec(axis1="r", range1=(0.0, 2.0, 5), fixed=fixed, outputs=QUANTITIES)
-    result, reference = run_sweep(spec), per_point_sweep(spec)
-    assert result.rows[0] == reference.rows[0]
-    assert sweep_mismatches(result, reference) == []
+    assert format_csv(run_sweep(spec)) == format_csv(per_point_sweep(spec))
 
 
 @pytest.mark.parametrize("points", [2, 9])
 def test_fixed_drift_line_builds_and_solves_once(monkeypatch, points):
     drifts = _spy(monkeypatch, "build_drift")
     checks = _spy(monkeypatch, "stability_check")
-    solves = _spy(monkeypatch, "_bartels_stewart")
+    factors = _spy(monkeypatch, "_schur_factor")
+    solves = _spy(monkeypatch, "_schur_solve")
     per_point = _spy(monkeypatch, "solve_lyapunov")
     spec = SweepSpec(axis1="temperature", range1=(0.0, 0.5, points),
                      fixed=reference_point(), outputs=("log_negativity",))
     assert all(row.stable for row in run_sweep(spec).rows)
-    # The first point's solve and the five basis solves.
-    assert (len(drifts), len(checks), len(solves), len(per_point)) == (1, 1, 6, 0)
-    assert len({id(args[0]) for args in solves}) == 1  # one drift array
+    # One drift, one check and one Schur factor; one solve per point.
+    counts = (len(drifts), len(checks), len(factors), len(solves), len(per_point))
+    assert counts == (1, 1, 1, points, 0)
+    assert len({id(args[0]) for args in solves}) == 1  # one factor
 
 
 def test_every_traced_name_resolves():
