@@ -55,14 +55,13 @@ class DriftMatrix:
         _frozen_array(self, "a", self.a)
 
 
-def _drift_array(a) -> np.ndarray:
-    return a.a if isinstance(a, DriftMatrix) else np.asarray(a, dtype=float)
-
-
 def _checked_drift_array(a) -> np.ndarray:
     """The drift as an array; numpy.linalg.LinAlgError unless it is 6x6
-    and finite."""
-    arr = _drift_array(a)
+    and finite.  A DriftMatrix was checked when it was made and is not
+    checked again."""
+    if isinstance(a, DriftMatrix):
+        return a.a
+    arr = np.asarray(a, dtype=float)
     if arr.shape != (6, 6) or not np.isfinite(arr).all():
         raise np.linalg.LinAlgError("drift matrix must be 6x6 and finite")
     return arr
@@ -80,12 +79,16 @@ class DiffusionMatrix:
             raise ValueError("diffusion matrix must be exactly symmetric")
         eigvals, _, info = lapack.dsyev(self.d, compute_v=0)
         _check_info("dsyev", info)
-        lowest = eigvals[0]
-        if lowest < -_PSD_TOL:
-            raise ValueError(
-                f"diffusion matrix must be positive semidefinite "
-                f"(smallest eigenvalue {lowest:.3e})"
-            )
+        _require_psd(eigvals[0])
+
+
+def _require_psd(lowest: float) -> None:
+    """ValueError unless a smallest eigenvalue passes the PSD check."""
+    if lowest < -_PSD_TOL:
+        raise ValueError(
+            f"diffusion matrix must be positive semidefinite "
+            f"(smallest eigenvalue {lowest:.3e})"
+        )
 
 
 class UnstableSystemError(ArithmeticError):
@@ -147,41 +150,93 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
     the cavity entries overflow a double: OverflowError names r, as it names
     the bath temperature for overflowing magnon entries.  A D that rounding
     leaves indefinite (from r of about 9) raises ArithmeticError.
+
+    This is the one-point case of the builder a sweep line uses
+    (_diffusion_entries, then _diffusion_stack): the matrix is checked
+    there once, and the DiffusionMatrix returned is not checked again.
+    """
+    entries = _diffusion_entries(params, drive, env.n_m1, env.n_m2, env.temperature, {})
+    return _diffusion_matrix(_diffusion_stack([entries])[0])
+
+
+def _cavity_block(kappa_a: float, r: float, theta: float) -> tuple:
+    """The cavity block entries (d00, d11, d01) of D, then the smallest
+    eigenvalue of the 2x2 block and the info code of the LAPACK dsyev call
+    that gives it; dsyev runs only when the three entries are finite."""
+    try:
+        n_sq = math.sinh(r) ** 2
+        m_sq = cmath.exp(1j * theta) * math.sinh(r) * math.cosh(r)
+    except OverflowError:  # reported with the entries that overflow
+        n_sq = m_sq = math.inf
+    d00 = 2.0 * kappa_a * (n_sq + 0.5 + m_sq.real)
+    d11 = 2.0 * kappa_a * (n_sq + 0.5 - m_sq.real)
+    d01 = 2.0 * kappa_a * m_sq.imag
+    if not all(map(math.isfinite, (d00, d11, d01))):
+        return d00, d11, d01, math.nan, 0
+    eigvals, _, info = lapack.dsyev(np.array([[d00, d01], [d01, d11]]), compute_v=0)
+    return d00, d11, d01, eigvals[0], info
+
+
+def _diffusion_entries(params: SystemParams, drive: DriveParams, n_m1: float,
+                       n_m2: float, temperature: float, cavity_blocks: dict) -> tuple:
+    """The distinct entries (d00, d11, d01, d22, d44) of one point's D,
+    checked in build_diffusion's order: the r warning, overflow of the
+    cavity entries, then of the magnon entries, then the PSD check.
+
+    ``cavity_blocks`` maps (kappa_a, r, theta) to _cavity_block's result,
+    so the points of a line that share a cavity block compute and
+    eigen-decompose it once.  D is block-diagonal: the cavity block, then
+    the magnon entries 2 kappa_mi (n_mi + 1/2) > 0 on the diagonal.  Its
+    smallest eigenvalue is the smaller of the block's and those entries,
+    so D fails the PSD check exactly when the block does.
     """
     if drive.r > R_CONDITIONING_LIMIT:
         warnings.warn(
             f"squeezing parameter r = {drive.r:.3g} makes diffusion entries "
             f"of order e^(2r); steady-state solves may lose accuracy",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    try:
-        n_sq = math.sinh(drive.r) ** 2
-        m_sq = cmath.exp(1j * drive.theta) * math.sinh(drive.r) * math.cosh(drive.r)
-    except OverflowError:  # reported with the entries that overflow below
-        n_sq = m_sq = math.inf
-    ka = params.kappa_a
-    d = np.zeros((6, 6))
-    d[0, 0] = 2.0 * ka * (n_sq + 0.5 + m_sq.real)
-    d[1, 1] = 2.0 * ka * (n_sq + 0.5 - m_sq.real)
-    d[0, 1] = d[1, 0] = 2.0 * ka * m_sq.imag
-    d[2, 2] = d[3, 3] = 2.0 * params.kappa_m1 * (env.n_m1 + 0.5)
-    d[4, 4] = d[5, 5] = 2.0 * params.kappa_m2 * (env.n_m2 + 0.5)
-    if not all(map(math.isfinite, (d[0, 0], d[1, 1], d[0, 1]))):
+    key = (params.kappa_a, drive.r, drive.theta)
+    if key not in cavity_blocks:
+        cavity_blocks[key] = _cavity_block(*key)
+    d00, d11, d01, lowest, info = cavity_blocks[key]
+    d22 = 2.0 * params.kappa_m1 * (n_m1 + 0.5)
+    d44 = 2.0 * params.kappa_m2 * (n_m2 + 0.5)
+    if not all(map(math.isfinite, (d00, d11, d01))):
         raise OverflowError(
             f"squeezing parameter r = {drive.r:g} overflows the diffusion matrix: "
             f"its entries of order e^(2r) exceed the largest double")
-    if not (math.isfinite(d[2, 2]) and math.isfinite(d[4, 4])):
+    if not (math.isfinite(d22) and math.isfinite(d44)):
         raise OverflowError(
-            f"magnon bath at T = {env.temperature:g} K overflows the diffusion matrix: "
+            f"magnon bath at T = {temperature:g} K overflows the diffusion matrix: "
             f"its entries 2 kappa_m (n_m + 1/2) exceed the largest double")
+    _check_info("dsyev", info)
     try:
-        return DiffusionMatrix(d)
-    except np.linalg.LinAlgError:
-        raise
+        _require_psd(lowest)
     except ValueError as exc:
         raise ArithmeticError(f"squeezing parameter r = {drive.r:g} loses the "
                               f"diffusion matrix to rounding: {exc}") from exc
+    return d00, d11, d01, d22, d44
+
+
+def _diffusion_matrix(d: np.ndarray) -> DiffusionMatrix:
+    """A DiffusionMatrix holding one D of _diffusion_stack, which
+    _diffusion_entries has checked; it is not checked again."""
+    d.setflags(write=False)
+    matrix = object.__new__(DiffusionMatrix)
+    object.__setattr__(matrix, "d", d)
+    return matrix
+
+
+def _diffusion_stack(entries) -> np.ndarray:
+    """The (m, 6, 6) stack of D from m tuples of _diffusion_entries."""
+    d00, d11, d01, d22, d44 = np.array(entries, dtype=float).T
+    d = np.zeros((len(d00), 6, 6))
+    d[:, 0, 0], d[:, 1, 1], d[:, 0, 1], d[:, 1, 0] = d00, d11, d01, d01
+    d[:, 2, 2] = d[:, 3, 3] = d22
+    d[:, 4, 4] = d[:, 5, 5] = d44
+    return d
 
 
 def stability_check(a: DriftMatrix | np.ndarray) -> StabilityReport:

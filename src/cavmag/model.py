@@ -120,11 +120,14 @@ class Environment:
     @classmethod
     def from_temperature(cls, temperature: float, params: SystemParams) -> "Environment":
         """Derive the magnon occupations for a bath at the given temperature."""
-        return cls(
-            temperature=temperature,
-            n_m1=thermal_occupation(params.omega_m1 * ANGULAR_UNIT, temperature),
-            n_m2=thermal_occupation(params.omega_m2 * ANGULAR_UNIT, temperature),
-        )
+        return cls(temperature, *_occupations(params, temperature))
+
+
+def _occupations(params: SystemParams, temperature: float) -> tuple[float, float]:
+    """Mean thermal occupations (n_m1, n_m2) of the two magnons in a bath at
+    ``temperature``; thermal_occupation's ValueError for a negative one."""
+    return (thermal_occupation(params.omega_m1 * ANGULAR_UNIT, temperature),
+            thermal_occupation(params.omega_m2 * ANGULAR_UNIT, temperature))
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:

@@ -93,7 +93,9 @@ class _Covariance:
 
     Construction rejects a wrong shape, non-finite entries, asymmetry
     beyond 1e-12 relative tolerance and a nonpositive diagonal, and
-    stores the exactly symmetrized array read-only.
+    stores the exactly symmetrized array read-only: an exactly symmetric
+    input as it is, any other as (v + v^T)/2, each term halved first so
+    entries near the largest double stay finite.
     """
 
     v: np.ndarray
@@ -108,13 +110,15 @@ class _Covariance:
             raise ValueError(f"{name} must be {n}x{n}, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite")
-        scale = max(float(np.abs(arr).max()), 1.0)
-        asymmetry = float(np.abs(arr - arr.T).max())
-        if asymmetry > _SYMMETRY_RTOL * scale:
-            raise ValueError(
-                f"{name} asymmetric: max |v - v.T| = {asymmetry:.3e}"
-            )
-        arr = 0.5 * (arr + arr.T)
+        if not (arr == arr.T).all():
+            scale = max(float(np.abs(arr).max()), 1.0)
+            asymmetry = float(np.abs(arr - arr.T).max())
+            if asymmetry > _SYMMETRY_RTOL * scale:
+                raise ValueError(
+                    f"{name} asymmetric: max |v - v.T| = {asymmetry:.3e}"
+                )
+            # Halved before the sum, which cannot overflow.
+            arr = 0.5 * arr + 0.5 * arr.T
         if (arr.diagonal() <= 0.0).any():
             raise ValueError(f"{name} diagonal entries must be positive")
         arr.setflags(write=False)
@@ -137,8 +141,12 @@ class TwoModeCM(_Covariance):
 
 
 def _diffusion_array(d) -> np.ndarray:
-    """The diffusion as an array; ValueError unless it is 6x6 and finite."""
-    arr = d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
+    """The diffusion as an array; ValueError unless it is 6x6 and finite.
+    A DiffusionMatrix was checked when it was made and is not checked
+    again."""
+    if isinstance(d, DiffusionMatrix):
+        return d.d
+    arr = np.asarray(d, dtype=float)
     if arr.shape != (6, 6):
         raise ValueError(f"diffusion matrix must have shape (6, 6), got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -153,13 +161,14 @@ def _lyapunov_backend(solve):
     numpy.linalg.LinAlgError, a D that is not 6x6 or has a non-finite entry
     ValueError, and an unstable A UnstableSystemError; the symmetrized V
     must meet max|A V + V A^T + D| <= 1e-10 max|D| (a NaN residual fails)
-    or ArithmeticError is raised.
+    or ArithmeticError is raised.  A DriftMatrix or DiffusionMatrix already
+    meets its part of the contract and is not checked again.
     """
     @functools.wraps(solve)
     def backend(a, d) -> CovarianceMatrix:
         a_arr = _checked_drift_array(a)
         d_arr = _diffusion_array(d)
-        stability_check(a_arr).require()
+        stability_check(a).require()
         return _checked_solution(solve.__name__, a_arr, d_arr, solve(a_arr, d_arr))
 
     return backend

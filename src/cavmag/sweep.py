@@ -24,12 +24,16 @@ import numpy as np
 
 from . import config
 from .config import fixed_from_values
-from .dynamics import UnstableSystemError, build_diffusion, build_drift, stability_check
+from .dynamics import (_diffusion_entries, _diffusion_matrix, _diffusion_stack,
+                       build_diffusion, build_drift, stability_check)
 from .measures import DUAN_BOUND, MANCINI_BOUND, POINT_QUANTITIES, quantities
 from .model import (
+    DriveParams,
     Environment,
     FixedPoint,
+    SystemParams,
     TWO_PI,
+    _occupations,
     detunings_from,
     hz_to_internal,
     internal_to_hz,
@@ -58,17 +62,24 @@ class Axis:
     preset_range: Callable[[FixedPoint, int], tuple]  # (point, n) -> (min, max, n)
 
 
-# Appliers run once per grid point, so they build each FixedPoint directly.
+# Appliers run once per grid point, so they build each object directly
+# rather than through dataclasses.replace.
+
+def _with_modes(q, omega_a, omega_m1, omega_m2):
+    return SystemParams(omega_a, omega_m1, omega_m2, q.omega_s, q.kappa_a,
+                        q.kappa_m1, q.kappa_m2, q.g1, q.g2)
+
 
 def _detune_cavity(p, nu):
-    params = replace(p.params, omega_a=p.params.omega_s + hz_to_internal(nu))
+    q = p.params
+    params = _with_modes(q, q.omega_s + hz_to_internal(nu), q.omega_m1, q.omega_m2)
     return FixedPoint(params, p.drive, p.temperature)
 
 
 def _detune_magnons(p, nu):
-    omega = p.params.omega_s + hz_to_internal(nu)
-    params = replace(p.params, omega_m1=omega, omega_m2=omega)
-    return FixedPoint(params, p.drive, p.temperature)
+    q = p.params
+    omega = q.omega_s + hz_to_internal(nu)
+    return FixedPoint(_with_modes(q, q.omega_a, omega, omega), p.drive, p.temperature)
 
 
 def _detuning_range(p, n):
@@ -81,10 +92,11 @@ _AXES = {
     "delta_m": Axis("delta_m_hz", ("omega_m1_hz", "omega_m2_hz"), _detune_magnons,
                     _detuning_range),
     "r": Axis("r", ("r",),
-              lambda p, r: FixedPoint(p.params, replace(p.drive, r=r), p.temperature),
+              lambda p, r: FixedPoint(p.params, DriveParams(r, p.drive.theta),
+                                      p.temperature),
               lambda p, n: (0.0, 3.0, n)),
     "theta": Axis("theta_rad", ("theta_rad",),
-                  lambda p, theta: FixedPoint(p.params, replace(p.drive, theta=theta),
+                  lambda p, theta: FixedPoint(p.params, DriveParams(p.drive.r, theta),
                                               p.temperature),
                   lambda p, n: (0.0, TWO_PI * (n - 1) / n, n)),
     "temperature": Axis("temperature_k", ("temperature_k",),
@@ -182,7 +194,8 @@ def steady_state(point: FixedPoint):
     params = point.params
     drift = build_drift(detunings_from(params), params)
     stability_check(drift).require()
-    diffusion = _diffusion(point)
+    env = Environment.from_temperature(point.temperature, params)
+    diffusion = build_diffusion(params, point.drive, env)
     return drift, diffusion, solve_lyapunov(drift, diffusion)
 
 
@@ -201,13 +214,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid, axis1-major then axis2, deterministically.
 
     The grid is evaluated one line at a time: the axis2 values at one
-    axis1 value, or all of axis1 in a 1D sweep.  Where every point of the
-    line has the first point's SystemParams, the drift's only input, the
-    drift is built, checked and Schur-factored once, and each point's own
-    diffusion is solved as solve_lyapunov solves it, to the same bits (see
-    _fixed_drift_line).  Every other line solves each point with
-    steady_state.  The measures of a line's stable points come from one
-    measures.quantities call.
+    axis1 value, or all of axis1 in a 1D sweep.  Each stage runs over the
+    line before the next:
+
+    - drift: each point builds its drift and checks its stability, as
+      steady_state does.  Where every point of the line has the first
+      point's SystemParams, the drift's only input, this is done once.
+    - noise: one builder makes the diffusions of the line's stable points;
+      an unstable point builds none.  It is the builder build_diffusion
+      runs for one point, so every entry, warning and error is
+      build_diffusion's, and it checks D once per distinct cavity block.
+    - solve: each point is solved with solve_lyapunov, or, on a line with
+      one drift, from that drift's one Schur factor as solve_lyapunov
+      solves it, to the same bits (see _one_drift_solves).
+    - measures: one measures.quantities call for the line's stable points.
 
     A point without a steady state gives an unstable row.  Any other
     exception raised while a grid point is applied or evaluated propagates
@@ -264,9 +284,12 @@ class _Line:
         self.end, self.error = index, exc
 
     def each(self, fn, items) -> list:
-        """fn of each item before ``end``, in order, up to the first that raises."""
+        """fn(item) for each (point index, item) pair with its index before
+        ``end``, in order, up to the first that raises."""
         out = []
-        for index, item in enumerate(items[:self.end]):
+        for index, item in items:
+            if index >= self.end:
+                break
             try:
                 out.append(fn(item))
             except Exception as exc:
@@ -276,96 +299,93 @@ class _Line:
 
     def evaluate(self, make_point, outputs) -> list:
         """Output tuples of the line's points, None where unstable."""
-        points = self.each(make_point, self.values)
+        points = self.each(make_point, enumerate(self.values))
         # SystemParams is the only input of build_drift.
-        if all(point.params == points[0].params for point in points):
-            covariances = _fixed_drift_line(points, self)
-        else:
-            covariances = self.each(_stable_covariance, points)
-        stable = [k for k, v in enumerate(covariances[:self.end]) if v is not None]
+        one_drift = all(point.params == points[0].params for point in points)
+        drifts = self.each(_stable_drift, enumerate(points[:1] if one_drift else points))
+        if one_drift:
+            drifts *= len(points)
+        stable = [k for k, drift in enumerate(drifts) if drift is not None]
+        cavity_blocks = {}
+        entries = self.each(lambda point: _point_diffusion(point, cavity_blocks),
+                            [(k, points[k]) for k in stable])
+        stable = stable[:len(entries)]
+        if stable:
+            d = _diffusion_stack(entries)
+            if one_drift:
+                v = _one_drift_solves(self, stable, drifts[0].a, d)
+            else:
+                pairs = [(k, (drifts[k], _diffusion_matrix(dk))) for k, dk in zip(stable, d)]
+                v = [cm.v for cm in self.each(lambda pair: solve_lyapunov(*pair), pairs)]
+            stable = [k for k in stable[:len(v)] if k < self.end]
         if not stable:
-            return [None] * len(covariances)
-        stack = np.array([covariances[k] for k in stable])
+            return [None] * len(points)
+        stack = np.array(v[:len(stable)])
         try:
             columns = quantities(stack, outputs)
         except Exception as exc:
             # Name the first point whose measures fail on their own.
             self.fail(stable[0], exc)
-            for k, v in zip(stable, stack):
+            for k, vk in zip(stable, stack):
                 try:
-                    quantities(v, outputs)
+                    quantities(vk, outputs)
                 except Exception as point_exc:
                     self.fail(k, point_exc)
                     break
             return []
-        values = [None] * len(covariances)
+        values = [None] * len(points)
         for k, row in zip(stable, zip(*(columns[name] for name in outputs))):
             values[k] = row
         return values
 
 
-def _stable_covariance(point):
-    """The steady-state covariance array at one point, None if unstable."""
-    try:
-        return steady_state(point)[2].v
-    except UnstableSystemError:
-        return None
-
-
-def _diffusion(point):
+def _stable_drift(point):
+    """The drift at one point, None if it has no steady state."""
     params = point.params
-    env = Environment.from_temperature(point.temperature, params)
-    return build_diffusion(params, point.drive, env)
+    drift = build_drift(detunings_from(params), params)
+    return drift if stability_check(drift).stable else None
 
 
-def _fixed_drift_line(points, line: _Line) -> list:
-    """Steady-state covariances of points that share one drift.
+def _point_diffusion(point, cavity_blocks):
+    """The entries of one point's diffusion, as build_diffusion makes them
+    for the bath at the point's temperature."""
+    params = point.params
+    return _diffusion_entries(params, point.drive, *_occupations(params, point.temperature),
+                              point.temperature, cavity_blocks)
 
-    The drift of the first point is built and checked once; if it is
-    unstable, every point is.  Each point builds its own diffusion, and
-    its V comes from the drift's one Schur factor by the solve step of
-    solve_lyapunov, symmetrized: the bits steady_state gives that point.
-    The line is screened at once for what solve_lyapunov checks (the
-    residual bound and a positive diagonal); a suspect point is checked
-    by solve_lyapunov's own check, which raises its error.  A failing
-    drift or factorization names the first point, and a failing diffusion
-    or solve its own point.
+
+def _one_drift_solves(line: _Line, stable, a, d) -> list:
+    """Steady-state covariances of the stable points of a line whose points
+    share the drift ``a``, with diffusions ``d``.
+
+    ``a`` is Schur-factored once, and each V comes from that factor by the
+    solve step of solve_lyapunov, symmetrized: the bits steady_state gives
+    that point.  The line is screened at once for what solve_lyapunov
+    checks (the residual bound and a positive diagonal); a suspect point
+    is checked by solve_lyapunov's own check, which raises its error.  A
+    failing factorization names the first point, and a failing solve its
+    own point.
     """
-    if not points:
-        return []
-    params = points[0].params
-    try:
-        drift = build_drift(detunings_from(params), params)
-        if not stability_check(drift).stable:
-            return [None] * len(points)
-    except Exception as exc:
-        line.fail(0, exc)
-        return []
-    diffusions = line.each(_diffusion, points)
-    if not diffusions:
-        return []
-    a = drift.a
     try:
         factor = _schur_factor(a)
     except Exception as exc:
-        line.fail(0, exc)
+        line.fail(stable[0], exc)
         return []
-    d = [diffusion.d for diffusion in diffusions]
-    v = line.each(lambda dk: _schur_solve(factor, dk), d)
+    v = line.each(lambda dk: _schur_solve(factor, dk), zip(stable, d))
     if not v:
         return []
-    v, d = np.array(v), np.array(d[:len(v)])
+    v, d = np.array(v), d[:len(v)]
     v = 0.5 * (v + v.transpose(0, 2, 1))
     residual = np.abs(a @ v + v @ a.T + d).max(axis=(1, 2))
     suspect = ~(residual <= RESIDUAL_RTOL * np.abs(d).max(axis=(1, 2)))
     suspect |= ~(np.diagonal(v, axis1=1, axis2=2) > 0.0).all(axis=1)
-    for k in np.flatnonzero(suspect).tolist():
+    for j in np.flatnonzero(suspect).tolist():
         try:
-            _checked_solution("solve_lyapunov", a, d[k], v[k])
+            _checked_solution("solve_lyapunov", a, d[j], v[j])
         except Exception as exc:
-            line.fail(k, exc)
+            line.fail(stable[j], exc)
             break
-    return list(v[:line.end])
+    return list(v)
 
 
 # ---------------------------------------------------------------------------

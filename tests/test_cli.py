@@ -313,6 +313,25 @@ def test_point_diffusion_rounding_message(capsys):
         "-1.490e-07)\n")
 
 
+@pytest.mark.parametrize("setting, warning, message", [
+    ("r=10", "warning: squeezing parameter r = 10 makes diffusion entries of order "
+             "e^(2r); steady-state solves may lose accuracy\n",
+     "squeezing parameter r = 10 loses the diffusion matrix to rounding: diffusion "
+     "matrix must be positive semidefinite (smallest eigenvalue -1.490e-07)"),
+    ("temperature_k=5e307", "",
+     "magnon bath at T = 5e+307 K overflows the diffusion matrix: its entries "
+     "2 kappa_m (n_m + 1/2) exceed the largest double"),
+], ids=["r=10", "temperature_k=5e307"])
+def test_detuning_sweep_diffusion_failure_names_the_first_point(capsys, setting, warning,
+                                                                message):
+    # The line's noise is built in one stage; the point named, the message
+    # and the warning before it are those of the point-by-point path.
+    assert _failure(capsys, 2, "sweep", "--preset", "fig2b", "--points", "5",
+                    "--set", setting, warns=bool(warning)) == (
+        f"{warning}numerical failure: delta_a_hz = -15000000, delta_m_hz = -15000000: "
+        f"{message}\n")
+
+
 def test_large_r_sweep_names_the_point_that_the_per_point_path_names(capsys):
     # Past r = 8 the steady states lose precision; a fixed-drift line solves
     # each point as `cavmag point` does, so the refused point is the same.

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from _systems import rotation
 from cavmag.config import default_params
@@ -12,6 +13,8 @@ from cavmag.dynamics import (
     DriftMatrix,
     StabilityReport,
     UnstableSystemError,
+    _cavity_block,
+    _diffusion_stack,
     build_diffusion,
     build_drift,
     stability_check,
@@ -152,6 +155,25 @@ def test_diffusion_conditioning_warning():
     params, env = default_params()
     with pytest.warns(RuntimeWarning):
         build_diffusion(params, DriveParams(r=6.5), env)
+
+
+def test_diffusion_psd_check_rests_on_its_cavity_block():
+    # D is block-diagonal, so the smallest dsyev eigenvalue of the 6x6 D is
+    # the smaller of its 2x2 cavity block's and the magnon entries, to the
+    # bit; the noise builder checks D through the block alone.
+    params, _ = default_params()
+    rng = np.random.default_rng(11)
+    for r in np.concatenate([[0.0, 9.5, 10.0, 12.0], rng.uniform(0.0, 20.0, 60)]):
+        for theta in (0.0, 0.7, 2.0, rng.uniform(0.0, 2 * math.pi)):
+            d00, d11, d01, lowest, info = _cavity_block(params.kappa_a, r, theta)
+            assert info == 0
+            for temperature in (0.0, 0.02, 0.3):
+                env = Environment.from_temperature(temperature, params)
+                d22 = 2.0 * params.kappa_m1 * (env.n_m1 + 0.5)
+                d44 = 2.0 * params.kappa_m2 * (env.n_m2 + 0.5)
+                d = _diffusion_stack([(d00, d11, d01, d22, d44)])[0]
+                eigvals, _, info = lapack.dsyev(d, compute_v=0)
+                assert info == 0 and eigvals[0] == min(lowest, d22, d44), (r, theta)
 
 
 def test_diffusion_validation():

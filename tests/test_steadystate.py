@@ -16,6 +16,7 @@ from cavmag.model import (
 )
 from cavmag.steadystate import (
     CovarianceMatrix,
+    TwoModeCM,
     propagate_covariance,
     solve_lyapunov,
     solve_lyapunov_kron,
@@ -335,6 +336,23 @@ def test_covariance_matrix_symmetrizes_storage():
     v[0, 1] = 1e-14  # within tolerance, must come out exactly symmetric
     cm = CovarianceMatrix(v)
     assert np.array_equal(cm.v, cm.v.T)
+
+
+@pytest.mark.parametrize("cls, n", [(CovarianceMatrix, 6), (TwoModeCM, 4)])
+def test_covariance_near_the_largest_double_stays_finite(cls, n):
+    # Symmetrizing must not overflow: an exactly symmetric input is stored
+    # as it is, and an asymmetric one halves each term before the sum.
+    big = 1.7e308
+    symmetric = big * np.eye(n)
+    assert np.array_equal(cls(symmetric).v, symmetric)
+    asymmetric = symmetric.copy()
+    asymmetric[0, 1], asymmetric[1, 0] = big, math.nextafter(big, 0.0)
+    v = cls(asymmetric).v
+    assert np.isfinite(v).all() and np.array_equal(v, v.T)
+    assert v[0, 0] == big and v[0, 1] == 0.5 * big + 0.5 * math.nextafter(big, 0.0)
+    # Away from overflow, the halved sum has the bits of (v + v^T)/2.
+    ordinary = 0.5 * np.eye(n) + 1e-13 * np.random.default_rng(3).normal(size=(n, n))
+    assert np.array_equal(cls(ordinary).v, 0.5 * (ordinary + ordinary.T))
 
 
 def test_symplectic_form_is_constant_and_read_only():

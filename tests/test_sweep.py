@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import cavmag.sweep as sweep_mod
 from _systems import FIXED_DRIFT_PRESETS, per_point_sweep, reference_point
@@ -117,10 +118,17 @@ def _spy(monkeypatch, name, fail_on=None, exc=None):
 
 def test_failing_grid_point_names_itself(monkeypatch):
     # The exception keeps its class; its message gains the point's axis
-    # columns and values.  On an r x theta grid the diffusion is the first
-    # per-point stage; its second call is at (r, theta) = (0, 1).
-    _spy(monkeypatch, "build_diffusion", 2,
-         np.linalg.LinAlgError("LAPACK dsyev failed (info = 1)"))
+    # columns and values.  On an r x theta grid every point has its own
+    # cavity noise block, whose PSD check is the first per-point LAPACK
+    # call; the second is at (r, theta) = (0, 1).
+    real, calls = lapack.dsyev, []
+
+    def dsyev(a, compute_v):
+        calls.append(a)
+        w, v, info = real(a, compute_v=compute_v)
+        return w, v, 1 if len(calls) == 2 else info
+
+    monkeypatch.setattr(lapack, "dsyev", dsyev)
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), axis2="theta",
                      range2=(0.0, 1.0, 2), fixed=reference_point(), outputs=("var_x1",))
     with pytest.raises(np.linalg.LinAlgError) as info:
@@ -163,7 +171,7 @@ def test_first_failing_point_of_a_line_is_named(monkeypatch):
     # The line is evaluated stage by stage, but the point named is the first
     # in grid order to fail, with the error it raises on its own: here the
     # measures of theta = 0.5 fail, and the diffusion of theta = 1 later.
-    _spy(monkeypatch, "build_diffusion", 3, ValueError("third diffusion"))
+    _spy(monkeypatch, "_diffusion_entries", 3, ValueError("third diffusion"))
     real, alone = sweep_mod.quantities, []
 
     def second_point_fails(v, names):
@@ -430,12 +438,42 @@ def test_all_points_unstable_still_completes(monkeypatch):
 
 def test_unstable_fixed_drift_gives_unstable_rows_after_one_check(monkeypatch):
     calls = _unstable_every(monkeypatch, 1)
-    diffusions = _spy(monkeypatch, "build_diffusion")
+    diffusions = _spy(monkeypatch, "_diffusion_entries")
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 5), fixed=reference_point(),
                      outputs=("log_negativity",))
     result = run_sweep(spec)
     assert len(calls) == 1 and not diffusions
     assert [row.values for row in result.rows] == [None] * 5
+
+
+def test_unstable_detuning_point_builds_no_diffusion(monkeypatch):
+    _unstable_every(monkeypatch, 2)
+    diffusions = _spy(monkeypatch, "_diffusion_entries")
+    spec = SweepSpec(axis1="delta_a", range1=(0.0, 1e6, 4), fixed=reference_point(),
+                     outputs=("log_negativity",))
+    result = run_sweep(spec)
+    assert [row.stable for row in result.rows] == [True, False, True, False]
+    detune = sweep_mod.get_axis("delta_a").apply
+    assert [args[0] for args in diffusions] == [
+        detune(spec.fixed, row.axis1_value).params for row in result.rows[::2]]
+
+
+@pytest.mark.parametrize("spec, blocks", [
+    (preset("fig2b", 5), 5),  # one cavity block per detuning line
+    (SweepSpec(axis1="theta", range1=(0.0, 1.0, 4), fixed=reference_point(),
+               outputs=("var_x1",)), 4),  # one per point of a theta line
+    (preset("fig5b", 3), 9),
+], ids=["fig2b", "theta", "fig5b"])
+def test_noise_is_checked_once_per_cavity_block(monkeypatch, spec, blocks):
+    real, shapes = lapack.dsyev, []
+
+    def dsyev(a, compute_v):
+        shapes.append(a.shape)
+        return real(a, compute_v=compute_v)
+
+    monkeypatch.setattr(lapack, "dsyev", dsyev)
+    run_sweep(spec)
+    assert shapes == [(2, 2)] * blocks
 
 
 def test_certification_chain_clean_on_preset():
