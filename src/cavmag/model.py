@@ -41,8 +41,9 @@ class SystemParams:
     ``kappa_*`` are amplitude decay rates: a lone damped mode obeys
     d<a>/dt = -kappa <a> and couples to its input with sqrt(2 kappa).
     All values share one angular-frequency unit (internally 2*pi x MHz).
-    Decay rates and magnon frequencies must be positive, the couplings and
-    the cavity and drive frequencies nonnegative; ValueError names the field.
+    Every value must be finite; decay rates and magnon frequencies must be
+    positive, the couplings and the cavity and drive frequencies
+    nonnegative.  ValueError names the field.
     """
 
     omega_a: float    # cavity frequency
@@ -57,11 +58,17 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("kappa_a", "kappa_m1", "kappa_m2", "omega_m1", "omega_m2"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise _out_of_range(name, getattr(self, name), "positive")
         for name in ("g1", "g2", "omega_a", "omega_s"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise _out_of_range(name, getattr(self, name), "nonnegative")
+
+
+def _out_of_range(name: str, value: float, rule: str) -> ValueError:
+    """The error for a value that breaks its sign rule or is not finite."""
+    return ValueError(f"{name} must be {rule if math.isfinite(value) else 'finite'}, "
+                      f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -77,18 +84,20 @@ class Detunings:
 class DriveParams:
     """Squeezing parameter r >= 0 and phase theta of the input squeezed vacuum.
 
-    theta is stored reduced to [0, 2*pi).
+    Both must be finite; theta is stored reduced to [0, 2*pi).
     """
 
     r: float
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.r < 0.0:
-            raise ValueError(f"squeezing parameter r must be nonnegative, got {self.r}")
+        if not 0.0 <= self.r < math.inf:
+            raise _out_of_range("squeezing parameter r", self.r, "nonnegative")
         reduced = self.theta % TWO_PI
-        if reduced == TWO_PI:  # tiny negative inputs round up to the period
-            reduced = 0.0
+        if not reduced < TWO_PI:
+            if reduced != TWO_PI:  # nan, from an infinite or nan theta
+                raise ValueError(f"squeezing phase theta must be finite, got {self.theta}")
+            reduced = 0.0  # tiny negative inputs round up to the period
         object.__setattr__(self, "theta", reduced)
 
 
@@ -103,17 +112,23 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class Environment:
-    """Bath temperature and the derived mean thermal magnon occupations."""
+    """Bath temperature and the derived mean thermal magnon occupations.
+
+    The temperature must be finite and nonnegative, the occupations
+    nonnegative; an occupation beyond the largest double is inf.
+    """
 
     temperature: float  # K
     n_m1: float
     n_m2: float
 
     def __post_init__(self):
-        if self.temperature < 0.0:
-            raise ValueError(f"temperature must be nonnegative, got {self.temperature}")
-        if self.n_m1 < 0.0 or self.n_m2 < 0.0:
-            raise ValueError("thermal occupations must be nonnegative")
+        if not 0.0 <= self.temperature < math.inf:
+            raise _out_of_range("temperature", self.temperature, "nonnegative")
+        for name in ("n_m1", "n_m2"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"thermal occupations must be nonnegative, "
+                                 f"got {name} = {getattr(self, name)}")
         if self.temperature == 0.0 and (self.n_m1 != 0.0 or self.n_m2 != 0.0):
             raise ValueError("occupations must vanish exactly at zero temperature")
 
@@ -136,10 +151,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     Parameters
     ----------
     omega : float
-        Angular frequency in rad/s.  Must be positive; the occupation is
-        undefined at zero frequency.
+        Angular frequency in rad/s.  Must be finite and positive; the
+        occupation is undefined at zero frequency.
     temperature : float
-        Bath temperature in K.
+        Bath temperature in K, finite and nonnegative.
 
     Returns exactly 0.0 where k_B*T is zero, at T = 0 or where it
     underflows (T below about 1.8e-301 K).  The exponent is evaluated
@@ -148,10 +163,12 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     hbar*omega >> k_B*T.  An occupation beyond the largest double, where
     hbar*omega / k_B*T is subnormal or underflows to zero, is inf.
     """
-    if omega <= 0.0:
+    if not 0.0 < omega < math.inf:
+        if not math.isfinite(omega):
+            raise ValueError(f"omega must be finite, got {omega}")
         raise ValueError(f"occupation undefined for omega <= 0, got {omega}")
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be nonnegative, got {temperature}")
+    if not 0.0 <= temperature < math.inf:
+        raise _out_of_range("temperature", temperature, "nonnegative")
     if K_B * temperature == 0.0:  # T = 0, or k_B T underflows
         return 0.0
     x = HBAR * omega / (K_B * temperature)

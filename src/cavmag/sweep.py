@@ -17,6 +17,7 @@ Axis identifiers, their CSV columns and units (``_AXES`` defines each axis):
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import config
 from .config import fixed_from_values
-from .dynamics import (_diffusion_entries, _diffusion_matrix, _diffusion_stack,
-                       build_diffusion, build_drift, stability_check)
+from .dynamics import (UnstableSystemError, _diffusion_entries, _diffusion_matrix,
+                       _diffusion_stack, build_diffusion, build_drift, stability_check)
 from .measures import DUAN_BOUND, MANCINI_BOUND, POINT_QUANTITIES, quantities
 from .model import (
     DriveParams,
@@ -215,7 +216,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     The grid is evaluated one line at a time: the axis2 values at one
     axis1 value, or all of axis1 in a 1D sweep.  Each stage runs over the
-    line before the next:
+    line before the next (_line_values):
 
     - drift: each point builds its drift and checks its stability, as
       steady_state does.  Where every point of the line has the first
@@ -229,11 +230,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
       solves it, to the same bits (see _one_drift_solves).
     - measures: one measures.quantities call for the line's stable points.
 
-    A point without a steady state gives an unstable row.  Any other
-    exception raised while a grid point is applied or evaluated propagates
-    with its message prefixed by the point's coordinates.  When several
-    points fail, the first in grid order is named, with the error it
-    raises evaluated on its own.
+    A point without a steady state gives an unstable row.  A line that
+    raises is evaluated again by the per-point pipeline it reproduces
+    (axis.apply, steady_state, quantities): the first point that raises
+    propagates, its message prefixed by its coordinates; if none does, the
+    rows are the per-point rows.  That pass records and drops its
+    warnings, which the line has shown, so an "error" filter still raises.
     """
     axis1, axis2 = _AXES[spec.axis1], _AXES.get(spec.axis2)
     line_axis = axis2 or axis1
@@ -248,10 +250,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             except Exception as exc:
                 raise _named(exc, ((axis1, v1),))
             coordinates = [(v1, v2) for v2 in axis_values(spec.range2)]
-        line = _Line([c[1] if axis2 else c[0] for c in coordinates])
-        values = line.evaluate(lambda v: line_axis.apply(base, v), spec.outputs)
-        if line.error is not None:
-            raise _named(line.error, zip((axis1, axis2), coordinates[line.end]))
+        line = [c[1] if axis2 else c[0] for c in coordinates]
+        try:
+            values = _line_values([line_axis.apply(base, v) for v in line], spec.outputs)
+        except Exception:
+            values = None  # evaluated below, so no point error chains to this one
+        if values is None:
+            with warnings.catch_warnings(record=True):
+                values = [_point_values(line_axis, base, v, spec.outputs,
+                                        zip((axis1, axis2), c))
+                          for v, c in zip(line, coordinates)]
         rows += [GridRow(c1, c2, row) for (c1, c2), row in zip(coordinates, values)]
     return SweepResult(spec=spec, rows=tuple(rows))
 
@@ -265,78 +273,42 @@ def _named(exc: Exception, coordinates) -> Exception:
     return exc
 
 
-class _Line:
-    """One line of grid points, evaluated stage by stage.
+def _point_values(axis, base, value, outputs, coordinates):
+    """The output tuple of the point ``axis.apply(base, value)`` by the
+    per-point pipeline, None if it is unstable; any other exception is
+    named by the point's (axis, value) coordinates."""
+    try:
+        cm = steady_state(axis.apply(base, value))[2]
+        columns = quantities(cm.v, outputs)
+    except UnstableSystemError:
+        return None
+    except Exception as exc:
+        raise _named(exc, coordinates)
+    return tuple(columns[name][0] for name in outputs)
 
-    ``end`` is the index of the first failing point so far (the line's
-    length while none has failed) and ``error`` its exception.  Each stage
-    runs only on the points before ``end``, so a later stage can only move
-    the failure to an earlier point: the one reported is the first point
-    in grid order that fails, with the first error it raises.
-    """
 
-    def __init__(self, values):
-        self.values = values
-        self.end = len(values)
-        self.error = None
-
-    def fail(self, index: int, exc: Exception) -> None:
-        self.end, self.error = index, exc
-
-    def each(self, fn, items) -> list:
-        """fn(item) for each (point index, item) pair with its index before
-        ``end``, in order, up to the first that raises."""
-        out = []
-        for index, item in items:
-            if index >= self.end:
-                break
-            try:
-                out.append(fn(item))
-            except Exception as exc:
-                self.fail(index, exc)
-                break
-        return out
-
-    def evaluate(self, make_point, outputs) -> list:
-        """Output tuples of the line's points, None where unstable."""
-        points = self.each(make_point, enumerate(self.values))
-        # SystemParams is the only input of build_drift.
-        one_drift = all(point.params == points[0].params for point in points)
-        drifts = self.each(_stable_drift, enumerate(points[:1] if one_drift else points))
-        if one_drift:
-            drifts *= len(points)
-        stable = [k for k, drift in enumerate(drifts) if drift is not None]
-        cavity_blocks = {}
-        entries = self.each(lambda point: _point_diffusion(point, cavity_blocks),
-                            [(k, points[k]) for k in stable])
-        stable = stable[:len(entries)]
-        if stable:
-            d = _diffusion_stack(entries)
-            if one_drift:
-                v = _one_drift_solves(self, stable, drifts[0].a, d)
-            else:
-                pairs = [(k, (drifts[k], _diffusion_matrix(dk))) for k, dk in zip(stable, d)]
-                v = [cm.v for cm in self.each(lambda pair: solve_lyapunov(*pair), pairs)]
-            stable = [k for k in stable[:len(v)] if k < self.end]
-        if not stable:
-            return [None] * len(points)
-        stack = np.array(v[:len(stable)])
-        try:
-            columns = quantities(stack, outputs)
-        except Exception as exc:
-            # Name the first point whose measures fail on their own.
-            self.fail(stable[0], exc)
-            for k, vk in zip(stable, stack):
-                try:
-                    quantities(vk, outputs)
-                except Exception as point_exc:
-                    self.fail(k, point_exc)
-                    break
-            return []
-        values = [None] * len(points)
-        for k, row in zip(stable, zip(*(columns[name] for name in outputs))):
-            values[k] = row
+def _line_values(points, outputs) -> list:
+    """Output tuples of a line's points, None where unstable, from the four
+    stages of run_sweep; whatever a stage raises propagates unnamed."""
+    # SystemParams is the only input of build_drift.
+    one_drift = all(point.params == points[0].params for point in points)
+    drifts = [_stable_drift(point) for point in (points[:1] if one_drift else points)]
+    if one_drift:
+        drifts *= len(points)
+    stable = [k for k, drift in enumerate(drifts) if drift is not None]
+    values = [None] * len(points)
+    if not stable:
         return values
+    cavity_blocks = {}
+    d = _diffusion_stack([_point_diffusion(points[k], cavity_blocks) for k in stable])
+    if one_drift:
+        v = _one_drift_solves(drifts[0].a, d)
+    else:
+        v = [solve_lyapunov(drifts[k], _diffusion_matrix(dk)).v for k, dk in zip(stable, d)]
+    columns = quantities(np.array(v), outputs)
+    for k, row in zip(stable, zip(*(columns[name] for name in outputs))):
+        values[k] = row
+    return values
 
 
 def _stable_drift(point):
@@ -354,38 +326,26 @@ def _point_diffusion(point, cavity_blocks):
                               point.temperature, cavity_blocks)
 
 
-def _one_drift_solves(line: _Line, stable, a, d) -> list:
-    """Steady-state covariances of the stable points of a line whose points
-    share the drift ``a``, with diffusions ``d``.
+def _one_drift_solves(a, d) -> np.ndarray:
+    """Steady-state covariances of the points of a line that share the
+    drift ``a``, with diffusions ``d``.
 
     ``a`` is Schur-factored once, and each V comes from that factor by the
     solve step of solve_lyapunov, symmetrized: the bits steady_state gives
     that point.  The line is screened at once for what solve_lyapunov
     checks (the residual bound and a positive diagonal); a suspect point
-    is checked by solve_lyapunov's own check, which raises its error.  A
-    failing factorization names the first point, and a failing solve its
-    own point.
+    is checked by solve_lyapunov's own check, so the line raises only
+    where solve_lyapunov raises.
     """
-    try:
-        factor = _schur_factor(a)
-    except Exception as exc:
-        line.fail(stable[0], exc)
-        return []
-    v = line.each(lambda dk: _schur_solve(factor, dk), zip(stable, d))
-    if not v:
-        return []
-    v, d = np.array(v), d[:len(v)]
+    factor = _schur_factor(a)
+    v = np.array([_schur_solve(factor, dk) for dk in d])
     v = 0.5 * (v + v.transpose(0, 2, 1))
     residual = np.abs(a @ v + v @ a.T + d).max(axis=(1, 2))
     suspect = ~(residual <= RESIDUAL_RTOL * np.abs(d).max(axis=(1, 2)))
     suspect |= ~(np.diagonal(v, axis1=1, axis2=2) > 0.0).all(axis=1)
     for j in np.flatnonzero(suspect).tolist():
-        try:
-            _checked_solution("solve_lyapunov", a, d[j], v[j])
-        except Exception as exc:
-            line.fail(stable[j], exc)
-            break
-    return list(v)
+        _checked_solution("solve_lyapunov", a, d[j], v[j])
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import cavmag.steadystate
 import cavmag.sweep
 import cavmag.verify
 from cavmag.cli import main
@@ -217,9 +218,11 @@ def test_failing_grid_point_is_named_with_unchanged_exit_code(monkeypatch, capsy
     def explode(*args):
         raise ArithmeticError("residual exceeds bound")
 
-    # fig3's temperature line shares one drift, factored once; each point's
-    # solve is its own, so a failure at the first names that point.
+    # fig3's temperature line shares one drift, factored once, and solves
+    # each point from that factor, as solve_lyapunov does on the per-point
+    # path: a failure at the first point names that point.
     monkeypatch.setattr(cavmag.sweep, "_schur_solve", explode)
+    monkeypatch.setattr(cavmag.steadystate, "_schur_solve", explode)
     assert _failure(capsys, 2, "sweep", "--preset", "fig3", "--points", "3") == (
         "numerical failure: temperature_k = 0: residual exceeds bound\n")
     monkeypatch.setattr(cavmag.sweep, "solve_lyapunov", explode)

@@ -4,8 +4,13 @@ sweep --preset <name> --points 7`), and `cavmag point` at five operating
 points against its frozen stdout (tests/golden/point.txt, one block per
 command, headed by the command line).  Names, headers and stability
 flags must match exactly and every number within a relative 1e-10, the
-tolerance of the benchmark's fig2b golden file."""
+tolerance of the benchmark's fig2b golden file.
 
+tests/golden/cli_failures.txt freezes, byte for byte, the exit code,
+stdout ("1> " lines) and stderr ("2> " lines) of CLI runs that fail or
+warn: large r, overflowing baths, out-of-range axes."""
+
+import warnings
 from pathlib import Path
 
 import pytest
@@ -58,3 +63,26 @@ def test_point_matches_golden(capsys, command):
     assert got[0] == expected[0] == ["stability", "stable"]
     for (name, value), (_, golden_value) in zip(got[1:], expected[1:]):
         _assert_close(value, golden_value, name)
+
+
+def _cli_runs():
+    """(command, exit code, stdout lines, stderr lines) of each frozen run."""
+    text = (GOLDEN_DIR / "cli_failures.txt").read_text(encoding="utf-8")
+    for block in text.split("\n\n"):
+        header, status, *lines = block.splitlines()
+        command = header.removeprefix("$ cavmag ")
+        yield pytest.param(command, int(status.removeprefix("exit ")),
+                           [line[3:] for line in lines if line.startswith("1> ")],
+                           [line[3:] for line in lines if line.startswith("2> ")],
+                           id=command)
+
+
+@pytest.mark.parametrize("command, status, out, err", _cli_runs())
+def test_cli_run_matches_golden(capsys, command, status, out, err):
+    # Warnings print as a CLI user sees them, not raised as in the rest of the suite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(command.split()) == status
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == out
+    assert captured.err.splitlines() == err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,11 +10,13 @@ from cavmag.model import (
     K_B,
     DriveParams,
     Environment,
+    FixedPoint,
     SystemParams,
     detunings_from,
     hz_to_internal,
     thermal_occupation,
 )
+from cavmag.sweep import steady_state
 
 # Direct evaluation of 1/(exp(hbar*omega/kB*T) - 1) at nu = 10 GHz, T = 20 mK.
 N_TH_10GHZ_20MK = 3.789449170164159e-11
@@ -84,7 +87,6 @@ def test_detunings_resonance():
 
 def test_detunings_arithmetic():
     params, _ = default_params()
-    from dataclasses import replace
     shifted = replace(params, omega_s=hz_to_internal(9.995e9))
     det = detunings_from(shifted)
     assert det.delta_a == 5.0  # 5 MHz in internal units
@@ -118,7 +120,6 @@ def test_default_params_values():
 
 def test_system_params_validation():
     params, _ = default_params()
-    from dataclasses import replace
     with pytest.raises(ValueError):
         replace(params, kappa_a=0.0)
     with pytest.raises(ValueError):
@@ -152,6 +153,40 @@ def test_environment_validation():
         Environment(temperature=0.0, n_m1=0.1, n_m2=0.0)
     with pytest.raises(ValueError):
         Environment(temperature=0.1, n_m1=-0.2, n_m2=0.0)
+    with pytest.raises(ValueError, match="^thermal occupations must be nonnegative, "
+                                         "got n_m2 = nan$"):
+        Environment(temperature=0.1, n_m1=0.2, n_m2=math.nan)
+    # An occupation beyond the largest double is inf, and allowed.
+    assert Environment(temperature=0.1, n_m1=math.inf, n_m2=0.0).n_m1 == math.inf
+
+
+_PARAMS = default_params()[0]
+
+# (name in the error, builder of a model object from one value)
+_FINITE_FIELDS = [
+    *[pytest.param(f.name, lambda x, name=f.name: replace(_PARAMS, **{name: x}), id=f.name)
+      for f in fields(SystemParams)],
+    pytest.param("squeezing parameter r", DriveParams, id="r"),
+    pytest.param("squeezing phase theta", lambda x: DriveParams(2.0, x), id="theta"),
+    pytest.param("temperature", lambda x: Environment(x, 0.0, 0.0), id="Environment"),
+    pytest.param("temperature", lambda x: Environment.from_temperature(x, _PARAMS),
+                 id="from_temperature"),
+    pytest.param("temperature",
+                 lambda x: steady_state(FixedPoint(_PARAMS, DriveParams(2.0), x)),
+                 id="FixedPoint"),
+    pytest.param("temperature", lambda x: thermal_occupation(1e10, x),
+                 id="thermal_occupation-temperature"),
+    pytest.param("omega", lambda x: thermal_occupation(x, 0.02), id="thermal_occupation-omega"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, make", _FINITE_FIELDS)
+def test_non_finite_field_is_named(name, make, value):
+    # The model's own rule, as the configuration layer applies it to its
+    # keys: the error names the field, not the overflow or matrix it causes.
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        make(value)
 
 
 def test_angular_unit_is_megahertz():

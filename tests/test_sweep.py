@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import math
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from scipy.linalg import lapack
 
 import cavmag.sweep as sweep_mod
 from _systems import FIXED_DRIFT_PRESETS, per_point_sweep, reference_point
-from cavmag import config
+from cavmag import config, dynamics, steadystate
 from cavmag.sweep import (
     QUANTITIES,
     GridRow,
@@ -102,33 +103,33 @@ def test_axis_keys_match_what_it_applies(axis):
             assert got[key] == want[key], key
 
 
-def _spy(monkeypatch, name, fail_on=None, exc=None):
-    """Record the calls of sweep.<name>; the fail_on-th (from 1) raises exc."""
-    real, calls = getattr(sweep_mod, name), []
+def _spy(monkeypatch, name, fails=None, exc=None, module=sweep_mod):
+    """Record the calls of module.<name>; a call for which fails(*args) is
+    true raises exc.  A fault that is a function of the point fires again
+    when run_sweep evaluates a failing line point by point."""
+    real, calls = getattr(module, name), []
 
     def spy(*args):
         calls.append(args)
-        if len(calls) == fail_on:
+        if fails is not None and fails(*args):
             raise exc
         return real(*args)
 
-    monkeypatch.setattr(sweep_mod, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
 def test_failing_grid_point_names_itself(monkeypatch):
     # The exception keeps its class; its message gains the point's axis
-    # columns and values.  On an r x theta grid every point has its own
-    # cavity noise block, whose PSD check is the first per-point LAPACK
-    # call; the second is at (r, theta) = (0, 1).
-    real, calls = lapack.dsyev, []
+    # columns and values.  dsyev, the PSD check of a point's cavity noise
+    # block, reports a failure on the block at (r, theta) = (0, 1).
+    real = dynamics._cavity_block
 
-    def dsyev(a, compute_v):
-        calls.append(a)
-        w, v, info = real(a, compute_v=compute_v)
-        return w, v, 1 if len(calls) == 2 else info
+    def cavity_block(kappa_a, r, theta):
+        *entries, info = real(kappa_a, r, theta)
+        return (*entries, 1 if (r, theta) == (0.0, 1.0) else info)
 
-    monkeypatch.setattr(lapack, "dsyev", dsyev)
+    monkeypatch.setattr(dynamics, "_cavity_block", cavity_block)
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), axis2="theta",
                      range2=(0.0, 1.0, 2), fixed=reference_point(), outputs=("var_x1",))
     with pytest.raises(np.linalg.LinAlgError) as info:
@@ -145,7 +146,11 @@ def test_failing_grid_point_names_itself(monkeypatch):
 
 
 def test_failing_solve_on_a_detuning_line_names_its_point(monkeypatch):
-    _spy(monkeypatch, "solve_lyapunov", 2,
+    # The solve fails where the cavity is resonant and the magnons are not.
+    def fails(drift, d):
+        return drift.a[0, 1] == 0.0 and drift.a[2, 3] != 0.0
+
+    _spy(monkeypatch, "solve_lyapunov", fails,
          np.linalg.LinAlgError("LAPACK dgees failed (info = 1)"))
     spec = SweepSpec(axis1="delta_a", range1=(0.0, 1e6, 2), axis2="delta_m",
                      range2=(0.0, 1e6, 2), fixed=reference_point(), outputs=("var_x1",))
@@ -156,9 +161,17 @@ def test_failing_solve_on_a_detuning_line_names_its_point(monkeypatch):
 
 
 def test_failing_point_solve_names_its_own_point(monkeypatch):
-    # One solve per point of a fixed-drift line: the fifth is the second
-    # line's second point, which the per-point path names too.
-    _spy(monkeypatch, "_schur_solve", 5, ArithmeticError("dtrsyl scaled the solution"))
+    # A fixed-drift line solves each point from the line's Schur factor, the
+    # per-point path through solve_lyapunov: both fail on this point's D.
+    point = reference_point(r=1.0, temperature_k=0.15000000000000002)
+    d_point = steady_state(point)[1].d
+
+    def fails(factor, d):
+        return np.array_equal(d, d_point)
+
+    exc = ArithmeticError("dtrsyl scaled the solution")
+    _spy(monkeypatch, "_schur_solve", fails, exc)
+    _spy(monkeypatch, "_schur_solve", fails, exc, module=steadystate)
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), axis2="temperature",
                      range2=(0.1, 0.2, 3), fixed=reference_point(), outputs=("var_x1",))
     with pytest.raises(ArithmeticError) as info:
@@ -168,10 +181,11 @@ def test_failing_point_solve_names_its_own_point(monkeypatch):
 
 
 def test_first_failing_point_of_a_line_is_named(monkeypatch):
-    # The line is evaluated stage by stage, but the point named is the first
-    # in grid order to fail, with the error it raises on its own: here the
-    # measures of theta = 0.5 fail, and the diffusion of theta = 1 later.
-    _spy(monkeypatch, "_diffusion_entries", 3, ValueError("third diffusion"))
+    # The line fails at theta = 1 in its noise stage, and its measures fail
+    # as a stack; evaluated on its own, theta = 0.5 fails first, in its
+    # measures, and that point is named with its own error.
+    _spy(monkeypatch, "_diffusion_entries", lambda params, drive, *bath: drive.theta == 1.0,
+         ValueError("diffusion at theta = 1"))
     real, alone = sweep_mod.quantities, []
 
     def second_point_fails(v, names):
@@ -596,3 +610,28 @@ def test_every_traced_name_resolves():
     spec.loader.exec_module(tracing)
     for module, attr, _ in tracing.TARGETS:
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("name", sweep_mod.PRESET_NAMES)
+def test_working_lines_never_take_the_per_point_path(monkeypatch, name):
+    # A failing line is evaluated again by steady_state; a line evaluator
+    # that always raised would still give the per-point rows, only slower.
+    calls = _spy(monkeypatch, "steady_state")
+    run_sweep(preset(name, 7))
+    assert not calls
+
+
+def test_line_warnings_show_once_and_errors_stay_errors():
+    # fig4b at r = 5, 7, 9 warns for r = 7 and 9 on every line.
+    spec = with_range(preset("fig4b", 3), "r", 5.0, 9.0)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")
+        run_sweep(spec)
+    assert [str(w.message)[:32] for w in shown] == ["squeezing parameter r = 7 makes ",
+                                                     "squeezing parameter r = 9 makes "]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning) as info:
+            run_sweep(spec)
+    assert str(info.value).startswith(
+        "delta_a_hz = -15000000, r = 7: squeezing parameter r = 7 makes diffusion entries")
