@@ -7,8 +7,9 @@ Subcommands:
     point   evaluate all measures at a single operating point
 
 Exit codes, mapped from exception families in ``main`` alone: 0 success, 1 usage
-error (ValueError, OSError), 2 numerical failure (ArithmeticError, LinAlgError),
-3 verification failure, 141 (128 + SIGPIPE) when stdout's reader has closed it.
+error (ValueError, OSError, MemoryError), 2 numerical failure (ArithmeticError,
+LinAlgError), 3 verification failure, 141 (128 + SIGPIPE) when stdout's reader
+has closed it.
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ def main(argv=None) -> int:
             return 2
         except (ValueError, OSError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:  # e.g. --points too large for the grid
+            print(f"usage error: out of memory: {str(exc) or 'allocation failed'}",
+                  file=sys.stderr)
             return 1
 
 

@@ -80,7 +80,11 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, float]:
 def load_config(path) -> dict[str, float]:
     """Read and parse a configuration file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read(), source=str(path))
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_config_text(text, source=str(path))
 
 
 def parse_overrides(assignments) -> dict[str, float]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .model import DriveParams, Detunings, Environment, SystemParams
+from .model import DriveParams, Detunings, Environment, SystemParams, _occupations
 
 # Margin below zero that the largest drift eigenvalue real part must clear
 # for the system to count as stable (internal units).
@@ -35,24 +35,17 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
 
-def _frozen_array(obj, attr, value):
-    arr = np.array(value, dtype=float)
-    if arr.shape != (6, 6):
-        raise ValueError(f"{attr} must have shape (6, 6), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{attr} must be finite")
-    arr.setflags(write=False)
-    object.__setattr__(obj, attr, arr)
-
-
 @dataclass(frozen=True)
 class DriftMatrix:
-    """6x6 real drift matrix in the (dX, dY, dx1, dy1, dx2, dy2) basis."""
+    """6x6 real drift matrix in the (dX, dY, dx1, dy1, dx2, dy2) basis,
+    checked by _checked_drift_array as every routine checks a drift."""
 
     a: np.ndarray
 
     def __post_init__(self):
-        _frozen_array(self, "a", self.a)
+        arr = _checked_drift_array(self.a).copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "a", arr)
 
 
 def _checked_drift_array(a) -> np.ndarray:
@@ -69,17 +62,35 @@ def _checked_drift_array(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiffusionMatrix:
-    """6x6 real symmetric positive-semidefinite noise matrix, same basis."""
+    """6x6 real symmetric positive-semidefinite noise matrix, same basis,
+    checked by _diffusion_array as every routine checks a diffusion, then
+    for exact symmetry and by the PSD check."""
 
     d: np.ndarray
 
     def __post_init__(self):
-        _frozen_array(self, "d", self.d)
-        if not (self.d == self.d.T).all():
+        arr = _diffusion_array(self.d).copy()
+        if not (arr == arr.T).all():
             raise ValueError("diffusion matrix must be exactly symmetric")
-        eigvals, _, info = lapack.dsyev(self.d, compute_v=0)
+        eigvals, _, info = lapack.dsyev(arr, compute_v=0)
         _check_info("dsyev", info)
         _require_psd(eigvals[0])
+        arr.setflags(write=False)
+        object.__setattr__(self, "d", arr)
+
+
+def _diffusion_array(d) -> np.ndarray:
+    """The diffusion as an array; ValueError unless it is 6x6 and finite.
+    A DiffusionMatrix was checked when it was made and is not checked
+    again."""
+    if isinstance(d, DiffusionMatrix):
+        return d.d
+    arr = np.asarray(d, dtype=float)
+    if arr.shape != (6, 6):
+        raise ValueError(f"diffusion matrix must have shape (6, 6), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("diffusion matrix must be finite")
+    return arr
 
 
 def _require_psd(lowest: float) -> None:
@@ -152,8 +163,8 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
     leaves indefinite (from r of about 9) raises ArithmeticError.
 
     This is the one-point case of the builder a sweep line uses
-    (_diffusion_entries, then _diffusion_stack): the matrix is checked
-    there once, and the DiffusionMatrix returned is not checked again.
+    (_diffusions): the matrix is checked there once, and the
+    DiffusionMatrix returned is not checked again.
     """
     entries = _diffusion_entries(params, drive, env.n_m1, env.n_m2, env.temperature, {})
     return _diffusion_matrix(_diffusion_stack([entries])[0])
@@ -237,6 +248,19 @@ def _diffusion_stack(entries) -> np.ndarray:
     d[:, 2, 2] = d[:, 3, 3] = d22
     d[:, 4, 4] = d[:, 5, 5] = d44
     return d
+
+
+def _diffusions(points) -> np.ndarray:
+    """The (m, 6, 6) stack of D at m FixedPoints, each as build_diffusion
+    makes it for the bath at the point's own temperature; the points that
+    share a cavity block compute and check it once."""
+    # A loop, not a comprehension: the r warning names the caller.
+    cavity_blocks, entries = {}, []
+    for p in points:
+        entries.append(_diffusion_entries(p.params, p.drive,
+                                          *_occupations(p.params, p.temperature),
+                                          p.temperature, cavity_blocks))
+    return _diffusion_stack(entries)
 
 
 def stability_check(a: DriftMatrix | np.ndarray) -> StabilityReport:

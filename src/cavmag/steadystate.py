@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, lapack
 
-from .dynamics import DiffusionMatrix, _check_info, _checked_drift_array, stability_check
+from .dynamics import _check_info, _checked_drift_array, _diffusion_array, stability_check
 
 # Max-norm residual of A V + V A^T + D, relative to the max-norm of D.
 RESIDUAL_RTOL = 1e-10
@@ -140,20 +140,6 @@ class TwoModeCM(_Covariance):
     _NAME = "two-mode covariance"
 
 
-def _diffusion_array(d) -> np.ndarray:
-    """The diffusion as an array; ValueError unless it is 6x6 and finite.
-    A DiffusionMatrix was checked when it was made and is not checked
-    again."""
-    if isinstance(d, DiffusionMatrix):
-        return d.d
-    arr = np.asarray(d, dtype=float)
-    if arr.shape != (6, 6):
-        raise ValueError(f"diffusion matrix must have shape (6, 6), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("diffusion matrix must be finite")
-    return arr
-
-
 def _lyapunov_backend(solve):
     """The contract of every steady-state backend around its raw solve of
     A V + V A^T = -D, checked in this order before any LAPACK call: an A
@@ -230,11 +216,32 @@ def solve_lyapunov(a, d):
     """Steady-state covariance via the Bartels-Stewart algorithm.
 
     _schur_factor then _schur_solve: the sequence of
-    scipy.linalg.solve_continuous_lyapunov.  A sweep line that shares one
-    drift factors it once and calls _schur_solve per point, which gives
-    each point the bits of this function.
+    scipy.linalg.solve_continuous_lyapunov, which _one_drift_solves
+    repeats with one factor for a line's points, to the same bits.
     """
     return _schur_solve(_schur_factor(a), d)
+
+
+def _one_drift_solves(a, d) -> np.ndarray:
+    """Steady-state covariances of the points of a line that share the
+    drift ``a``, with diffusions ``d``.
+
+    ``a`` is Schur-factored once, and each V comes from that factor by the
+    solve step of solve_lyapunov, symmetrized: the bits solve_lyapunov gives
+    that point.  The line is screened at once for what solve_lyapunov
+    checks (the residual bound and a positive diagonal); a suspect point
+    is checked by solve_lyapunov's own check, so the line raises only
+    where solve_lyapunov raises.
+    """
+    factor = _schur_factor(a)
+    v = np.array([_schur_solve(factor, dk) for dk in d])
+    v = 0.5 * (v + v.transpose(0, 2, 1))
+    residual = np.abs(a @ v + v @ a.T + d).max(axis=(1, 2))
+    suspect = ~(residual <= RESIDUAL_RTOL * np.abs(d).max(axis=(1, 2)))
+    suspect |= ~(np.diagonal(v, axis1=1, axis2=2) > 0.0).all(axis=1)
+    for j in np.flatnonzero(suspect).tolist():
+        _checked_solution("solve_lyapunov", a, d[j], v[j])
+    return v
 
 
 @_lyapunov_backend

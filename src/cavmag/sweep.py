@@ -17,6 +17,7 @@ Axis identifiers, their CSV columns and units (``_AXES`` defines each axis):
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -25,8 +26,8 @@ import numpy as np
 
 from . import config
 from .config import fixed_from_values
-from .dynamics import (UnstableSystemError, _diffusion_entries, _diffusion_matrix,
-                       _diffusion_stack, build_diffusion, build_drift, stability_check)
+from .dynamics import (UnstableSystemError, _diffusion_matrix, _diffusions, build_diffusion,
+                       build_drift, stability_check)
 from .measures import DUAN_BOUND, MANCINI_BOUND, POINT_QUANTITIES, quantities
 from .model import (
     DriveParams,
@@ -34,13 +35,11 @@ from .model import (
     FixedPoint,
     SystemParams,
     TWO_PI,
-    _occupations,
     detunings_from,
     hz_to_internal,
     internal_to_hz,
 )
-from .steadystate import (RESIDUAL_RTOL, _checked_solution, _schur_factor, _schur_solve,
-                          solve_lyapunov)
+from .steadystate import _one_drift_solves, solve_lyapunov
 
 # The sweep reaches these through measures.quantities; the benchmark tracer
 # still patches them under cavmag.sweep, so they stay importable here.
@@ -179,7 +178,9 @@ class SweepResult:
 def _check_range(axis, rng):
     get_axis(axis)  # rejects an unknown axis name
     lo, hi, count = rng
-    if int(count) != count or count < 2:
+    if not all(isinstance(x, numbers.Real) for x in (lo, hi, count)):
+        raise ValueError(f"{axis}: range (min, max, count) must be numbers, got {rng!r}")
+    if not math.isfinite(count) or int(count) != count or count < 2:
         raise ValueError(f"{axis}: grid needs at least 2 points, got {count}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{axis}: range bounds must be finite, got {lo} and {hi}")
@@ -221,13 +222,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     - drift: each point builds its drift and checks its stability, as
       steady_state does.  Where every point of the line has the first
       point's SystemParams, the drift's only input, this is done once.
-    - noise: one builder makes the diffusions of the line's stable points;
-      an unstable point builds none.  It is the builder build_diffusion
-      runs for one point, so every entry, warning and error is
-      build_diffusion's, and it checks D once per distinct cavity block.
+    - noise: dynamics._diffusions builds D at the line's stable points
+      (none at an unstable one) as build_diffusion builds it at one point:
+      every entry, warning and error is build_diffusion's, and D is
+      checked once per distinct cavity block.
     - solve: each point is solved with solve_lyapunov, or, on a line with
       one drift, from that drift's one Schur factor as solve_lyapunov
-      solves it, to the same bits (see _one_drift_solves).
+      solves it, to the same bits (steadystate._one_drift_solves).
     - measures: one measures.quantities call for the line's stable points.
 
     A point without a steady state gives an unstable row.  A line that
@@ -299,8 +300,7 @@ def _line_values(points, outputs) -> list:
     values = [None] * len(points)
     if not stable:
         return values
-    cavity_blocks = {}
-    d = _diffusion_stack([_point_diffusion(points[k], cavity_blocks) for k in stable])
+    d = _diffusions([points[k] for k in stable])
     if one_drift:
         v = _one_drift_solves(drifts[0].a, d)
     else:
@@ -316,36 +316,6 @@ def _stable_drift(point):
     params = point.params
     drift = build_drift(detunings_from(params), params)
     return drift if stability_check(drift).stable else None
-
-
-def _point_diffusion(point, cavity_blocks):
-    """The entries of one point's diffusion, as build_diffusion makes them
-    for the bath at the point's temperature."""
-    params = point.params
-    return _diffusion_entries(params, point.drive, *_occupations(params, point.temperature),
-                              point.temperature, cavity_blocks)
-
-
-def _one_drift_solves(a, d) -> np.ndarray:
-    """Steady-state covariances of the points of a line that share the
-    drift ``a``, with diffusions ``d``.
-
-    ``a`` is Schur-factored once, and each V comes from that factor by the
-    solve step of solve_lyapunov, symmetrized: the bits steady_state gives
-    that point.  The line is screened at once for what solve_lyapunov
-    checks (the residual bound and a positive diagonal); a suspect point
-    is checked by solve_lyapunov's own check, so the line raises only
-    where solve_lyapunov raises.
-    """
-    factor = _schur_factor(a)
-    v = np.array([_schur_solve(factor, dk) for dk in d])
-    v = 0.5 * (v + v.transpose(0, 2, 1))
-    residual = np.abs(a @ v + v @ a.T + d).max(axis=(1, 2))
-    suspect = ~(residual <= RESIDUAL_RTOL * np.abs(d).max(axis=(1, 2)))
-    suspect |= ~(np.diagonal(v, axis1=1, axis2=2) > 0.0).all(axis=1)
-    for j in np.flatnonzero(suspect).tolist():
-        _checked_solution("solve_lyapunov", a, d[j], v[j])
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,6 @@ def test_failing_grid_point_is_named_with_unchanged_exit_code(monkeypatch, capsy
     # fig3's temperature line shares one drift, factored once, and solves
     # each point from that factor, as solve_lyapunov does on the per-point
     # path: a failure at the first point names that point.
-    monkeypatch.setattr(cavmag.sweep, "_schur_solve", explode)
     monkeypatch.setattr(cavmag.steadystate, "_schur_solve", explode)
     assert _failure(capsys, 2, "sweep", "--preset", "fig3", "--points", "3") == (
         "numerical failure: temperature_k = 0: residual exceeds bound\n")
@@ -229,6 +228,17 @@ def test_failing_grid_point_is_named_with_unchanged_exit_code(monkeypatch, capsy
     assert _failure(capsys, 2, "sweep", "--preset", "fig2b", "--points", "3") == (
         "numerical failure: delta_a_hz = -15000000, delta_m_hz = -15000000: "
         "residual exceeds bound\n")
+
+
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
+    # A grid too large to allocate (e.g. --points 100000000000) fails in
+    # numpy with MemoryError; faked here, so no large grid is allocated.
+    def too_large(rng):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cavmag.sweep, "axis_values", too_large)
+    assert _failure(capsys, 1, "sweep", "--preset", "fig3", "--points", "3") == (
+        "usage error: out of memory: Unable to allocate 745. GiB for an array\n")
 
 
 @pytest.mark.parametrize("args, message", [

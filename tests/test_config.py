@@ -3,6 +3,7 @@ import pytest
 import cavmag
 import cavmag.sweep
 from cavmag import config, dynamics, model, verify
+from cavmag.cli import main
 from cavmag.model import internal_to_hz
 
 
@@ -87,6 +88,18 @@ def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("r = 0.5\ntheta_rad = 1.0\n", encoding="utf-8")
     assert config.load_config(path) == {"r": 0.5, "theta_rad": 1.0}
+
+
+def test_config_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    # A UTF-16 file (byte-order mark ff fe) is named as the parser names
+    # path:line, and stays a usage error.
+    path = tmp_path / "run.cfg"
+    path.write_bytes("r = 0.5\n".encode("utf-16"))
+    with pytest.raises(ValueError) as info:
+        config.load_config(path)
+    assert str(info.value).startswith(f"{path}: not UTF-8 text: 'utf-8' codec")
+    assert main(["point", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {path}: not UTF-8 text")
 
 
 def test_default_params_match_defaults():

@@ -62,6 +62,19 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="^duplicate output quantities$"):
         SweepSpec(axis1="r", range1=(0, 1, 3), fixed=fixed,
                   outputs=("var_x1", "duan_sum", "var_x1"))
+    # A malformed range is a ValueError that names its axis, whatever the
+    # type of the bad entry; the counts and bounds of the messages above
+    # keep their words.
+    fig3 = preset("fig3", points=3)
+    for rng, message in (((0.0, 0.5, math.inf), "grid needs at least 2 points, got inf"),
+                         ((0.0, 0.5, math.nan), "grid needs at least 2 points, got nan"),
+                         ((0.0, 0.5, None), "range (min, max, count) must be numbers"),
+                         ((0.0, 0.5, [3]), "range (min, max, count) must be numbers"),
+                         ((0.0, 0.5, "3"), "range (min, max, count) must be numbers"),
+                         (("a", 0.5, 3), "range (min, max, count) must be numbers")):
+        with pytest.raises(ValueError) as info:
+            replace(fig3, range1=rng)
+        assert str(info.value).startswith(f"temperature: {message}"), rng
 
 
 def test_grid_row_stability_follows_its_values():
@@ -170,7 +183,6 @@ def test_failing_point_solve_names_its_own_point(monkeypatch):
         return np.array_equal(d, d_point)
 
     exc = ArithmeticError("dtrsyl scaled the solution")
-    _spy(monkeypatch, "_schur_solve", fails, exc)
     _spy(monkeypatch, "_schur_solve", fails, exc, module=steadystate)
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), axis2="temperature",
                      range2=(0.1, 0.2, 3), fixed=reference_point(), outputs=("var_x1",))
@@ -185,7 +197,7 @@ def test_first_failing_point_of_a_line_is_named(monkeypatch):
     # as a stack; evaluated on its own, theta = 0.5 fails first, in its
     # measures, and that point is named with its own error.
     _spy(monkeypatch, "_diffusion_entries", lambda params, drive, *bath: drive.theta == 1.0,
-         ValueError("diffusion at theta = 1"))
+         ValueError("diffusion at theta = 1"), module=dynamics)
     real, alone = sweep_mod.quantities, []
 
     def second_point_fails(v, names):
@@ -452,7 +464,7 @@ def test_all_points_unstable_still_completes(monkeypatch):
 
 def test_unstable_fixed_drift_gives_unstable_rows_after_one_check(monkeypatch):
     calls = _unstable_every(monkeypatch, 1)
-    diffusions = _spy(monkeypatch, "_diffusion_entries")
+    diffusions = _spy(monkeypatch, "_diffusion_entries", module=dynamics)
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 5), fixed=reference_point(),
                      outputs=("log_negativity",))
     result = run_sweep(spec)
@@ -462,7 +474,7 @@ def test_unstable_fixed_drift_gives_unstable_rows_after_one_check(monkeypatch):
 
 def test_unstable_detuning_point_builds_no_diffusion(monkeypatch):
     _unstable_every(monkeypatch, 2)
-    diffusions = _spy(monkeypatch, "_diffusion_entries")
+    diffusions = _spy(monkeypatch, "_diffusion_entries", module=dynamics)
     spec = SweepSpec(axis1="delta_a", range1=(0.0, 1e6, 4), fixed=reference_point(),
                      outputs=("log_negativity",))
     result = run_sweep(spec)
@@ -589,8 +601,8 @@ def test_vacuum_line_at_zero_temperature():
 def test_fixed_drift_line_builds_and_solves_once(monkeypatch, points):
     drifts = _spy(monkeypatch, "build_drift")
     checks = _spy(monkeypatch, "stability_check")
-    factors = _spy(monkeypatch, "_schur_factor")
-    solves = _spy(monkeypatch, "_schur_solve")
+    factors = _spy(monkeypatch, "_schur_factor", module=steadystate)
+    solves = _spy(monkeypatch, "_schur_solve", module=steadystate)
     per_point = _spy(monkeypatch, "solve_lyapunov")
     spec = SweepSpec(axis1="temperature", range1=(0.0, 0.5, points),
                      fixed=reference_point(), outputs=("log_negativity",))
