@@ -8,6 +8,7 @@ quadrature in each pair.  Vacuum variance is 1/2 per quadrature.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,7 +39,13 @@ def _check_info(routine: str, info: int) -> None:
 @dataclass(frozen=True)
 class DriftMatrix:
     """6x6 real drift matrix in the (dX, dY, dx1, dy1, dx2, dy2) basis,
-    checked by _checked_drift_array as every routine checks a drift."""
+    checked by _checked_drift_array as every routine checks a drift.
+
+    Its one spectral decomposition is the real Schur factor ``schur``,
+    computed the first time it is asked for and kept: stability_check
+    reads (and keeps) the report of its eigenvalues, and the steady-state
+    solve reads the factor.
+    """
 
     a: np.ndarray
 
@@ -46,6 +53,17 @@ class DriftMatrix:
         arr = _checked_drift_array(self.a).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
+
+    @functools.cached_property
+    def schur(self) -> tuple:
+        """The real Schur form A = U T U^T as read-only (T, U, wr), wr the
+        real parts of the eigenvalues (_schur_factor)."""
+        return _schur_factor(self.a)
+
+    @functools.cached_property
+    def _stability(self) -> StabilityReport:
+        """The StabilityReport of the largest real part in ``schur``."""
+        return StabilityReport(max_real_part=float(self.schur[2].max()))
 
 
 def _checked_drift_array(a) -> np.ndarray:
@@ -58,6 +76,27 @@ def _checked_drift_array(a) -> np.ndarray:
     if arr.shape != (6, 6) or not np.isfinite(arr).all():
         raise np.linalg.LinAlgError("drift matrix must be 6x6 and finite")
     return arr
+
+
+def _as_drift(a) -> DriftMatrix:
+    """``a`` as a DriftMatrix, checked and copied only if it is not one."""
+    return a if isinstance(a, DriftMatrix) else DriftMatrix(a)
+
+
+def _no_sort(wr, wi):
+    """dgees takes an eigenvalue-select callback; unsorted, it is never called."""
+    return None
+
+
+def _schur_factor(a: np.ndarray) -> tuple:
+    """The real Schur form A = U T U^T (LAPACK dgees, unsorted) as
+    read-only (T, U, wr), wr the real parts of A's eigenvalues; a LAPACK
+    failure raises numpy.linalg.LinAlgError."""
+    t, _, wr, _, u, _, info = lapack.dgees(_no_sort, a)
+    _check_info("dgees", info)
+    for arr in (t, u, wr):
+        arr.setflags(write=False)
+    return t, u, wr
 
 
 @dataclass(frozen=True)
@@ -133,8 +172,13 @@ def build_drift(detunings: Detunings, params: SystemParams) -> DriftMatrix:
     g times the 2x2 symplectic unit [[0, 1], [-1, 0]] in the cavity
     row / magnon column blocks, with the sign-reversed pattern below the
     diagonal.  There is no direct magnon-magnon block.
+
+    SystemParams holds finite values only, so the drift is finite where
+    the detunings are, and is handed over without a second check.
     """
     da, dm1, dm2 = detunings.delta_a, detunings.delta_m1, detunings.delta_m2
+    if not (math.isfinite(da) and math.isfinite(dm1) and math.isfinite(dm2)):
+        raise np.linalg.LinAlgError("drift matrix must be 6x6 and finite")
     ka, km1, km2 = params.kappa_a, params.kappa_m1, params.kappa_m2
     g1, g2 = params.g1, params.g2
     a = np.array([
@@ -145,7 +189,10 @@ def build_drift(detunings: Detunings, params: SystemParams) -> DriftMatrix:
         [0.0,   g2,   0.0,  0.0, -km2,  dm2],
         [-g2,   0.0,  0.0,  0.0, -dm2, -km2],
     ])
-    return DriftMatrix(a)
+    a.setflags(write=False)
+    drift = object.__new__(DriftMatrix)
+    object.__setattr__(drift, "a", a)
+    return drift
 
 
 def build_diffusion(params: SystemParams, drive: DriveParams,
@@ -267,12 +314,11 @@ def stability_check(a: DriftMatrix | np.ndarray) -> StabilityReport:
     """Asymptotic stability of the drift: every eigenvalue real part must
     lie below -STABILITY_EPS.
 
-    The spectrum comes from LAPACK dgeev (eigenvalues only).  A drift that
-    is not 6x6 or has a non-finite entry raises numpy.linalg.LinAlgError
-    before dgeev runs, as does a failed eigenvalue iteration; the check
-    never reports "stable" without a converged spectrum.
+    The spectrum is the eigenvalues of the drift's real Schur form
+    (DriftMatrix.schur, LAPACK dgees), computed once per DriftMatrix; the
+    steady-state solve reuses that factor.  A drift that is not 6x6 or has
+    a non-finite entry raises numpy.linalg.LinAlgError before dgees runs,
+    as does a failed Schur iteration; the check never reports "stable"
+    without a converged spectrum.
     """
-    arr = _checked_drift_array(a)
-    wr, _, _, _, info = lapack.dgeev(arr, compute_vl=0, compute_vr=0)
-    _check_info("dgeev", info)
-    return StabilityReport(max_real_part=float(wr.max()))
+    return _as_drift(a)._stability

@@ -2,10 +2,12 @@
 
 The covariance types and their symplectic spectrum.  The stationary V
 solves A V + V A^T = -D by either of two cross-validated backends under
-one contract: a Bartels-Stewart solve calling LAPACK dgees and dtrsyl
-directly, and a dense 36x36 vectorized solve.  propagate_covariance steps
-dV/dt = A V + V A^T + D exactly with the matrix exponential, applying the
-n steps in O(log n) products by doubling.
+one contract: a Bartels-Stewart solve calling LAPACK dtrsyl directly on
+the drift's real Schur factor, and a dense 36x36 vectorized solve.  The
+factor (dgees) is the one the stability test computed and the DriftMatrix
+keeps (dynamics.DriftMatrix.schur), so a drift is factored once for both.
+propagate_covariance steps dV/dt = A V + V A^T + D exactly with the matrix
+exponential, applying the n steps in O(log n) products by doubling.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, lapack
 
-from .dynamics import _check_info, _checked_drift_array, _diffusion_array, stability_check
+from .dynamics import (_as_drift, _check_info, _checked_drift_array, _diffusion_array,
+                       stability_check)
 
 # Max-norm residual of A V + V A^T + D, relative to the max-norm of D.
 RESIDUAL_RTOL = 1e-10
@@ -119,10 +122,23 @@ class _Covariance:
                 )
             # Halved before the sum, which cannot overflow.
             arr = 0.5 * arr + 0.5 * arr.T
-        if (arr.diagonal() <= 0.0).any():
-            raise ValueError(f"{name} diagonal entries must be positive")
+        self._keep(arr)
+
+    def _keep(self, arr: np.ndarray) -> None:
+        """Store ``arr`` read-only after the positive-diagonal check."""
+        if min(arr.diagonal().tolist()) <= 0.0:  # arr is finite here
+            raise ValueError(f"{self._NAME} diagonal entries must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "v", arr)
+
+    @classmethod
+    def _from_symmetric(cls, arr: np.ndarray):
+        """The covariance holding ``arr``, a finite, exactly symmetric
+        _DIM x _DIM array that no one else holds: only the diagonal is
+        checked, and ``arr`` is stored as it is."""
+        cov = object.__new__(cls)
+        cov._keep(arr)
+        return cov
 
 
 @dataclass(frozen=True)
@@ -148,14 +164,16 @@ def _lyapunov_backend(solve):
     ValueError, and an unstable A UnstableSystemError; the symmetrized V
     must meet max|A V + V A^T + D| <= 1e-10 max|D| (a NaN residual fails)
     or ArithmeticError is raised.  A DriftMatrix or DiffusionMatrix already
-    meets its part of the contract and is not checked again.
+    meets its part of the contract and is not checked again.  The raw
+    solve gets A as a DriftMatrix, whose Schur factor the stability test
+    has just computed.
     """
     @functools.wraps(solve)
     def backend(a, d) -> CovarianceMatrix:
-        a_arr = _checked_drift_array(a)
+        drift = _as_drift(a)
         d_arr = _diffusion_array(d)
-        stability_check(a).require()
-        return _checked_solution(solve.__name__, a_arr, d_arr, solve(a_arr, d_arr))
+        stability_check(drift).require()
+        return _checked_solution(solve.__name__, drift.a, d_arr, solve(drift, d_arr))
 
     return backend
 
@@ -164,8 +182,10 @@ def _checked_solution(name: str, a: np.ndarray, d: np.ndarray, v: np.ndarray):
     """The symmetrized solution V of A V + V A^T = -D as a CovarianceMatrix.
 
     ArithmeticError, naming the solver, unless max|A V + V A^T + D| <=
-    RESIDUAL_RTOL max|D| (a NaN residual fails); then CovarianceMatrix
-    rejects a non-finite V or a nonpositive diagonal with ValueError.
+    RESIDUAL_RTOL max|D| (a NaN residual fails); then ValueError for a
+    nonpositive diagonal.  A V that passes the bound is finite (D is), and
+    (V + V^T)/2 is exactly symmetric, so CovarianceMatrix's finite and
+    symmetry checks would find nothing and are not run.
     """
     v = 0.5 * (v + v.T)
     residual = float(np.abs(a @ v + v @ a.T + d).max())
@@ -175,24 +195,12 @@ def _checked_solution(name: str, a: np.ndarray, d: np.ndarray, v: np.ndarray):
             f"{name}: residual {residual:.3e} exceeds bound {bound:.3e}; "
             f"the system is near marginal stability or badly conditioned"
         )
-    return CovarianceMatrix(v)
-
-
-def _no_sort(wr, wi):
-    """dgees takes an eigenvalue-select callback; unsorted, it is never called."""
-    return None
-
-
-def _schur_factor(a: np.ndarray):
-    """The real Schur form A = U T U^T (dgees) as (T, U); a LAPACK failure
-    raises numpy.linalg.LinAlgError."""
-    t, _, _, _, u, _, info = lapack.dgees(_no_sort, a)
-    _check_info("dgees", info)
-    return t, u
+    return CovarianceMatrix._from_symmetric(v)
 
 
 def _schur_solve(factor, d: np.ndarray) -> np.ndarray:
-    """The unsymmetrized V of A V + V A^T = -D from A's Schur factor (T, U):
+    """The unsymmetrized V of A V + V A^T = -D from A's Schur factor
+    (T, U, wr) of DriftMatrix.schur:
     T Y + Y T^T = U^T (-D) U (dtrsyl), then V = U Y U^T.
 
     A LAPACK failure raises numpy.linalg.LinAlgError.  dtrsyl solves
@@ -200,7 +208,7 @@ def _schur_solve(factor, d: np.ndarray) -> np.ndarray:
     (from max|D| of about 3e292); such a solve raises ArithmeticError
     naming the scale rather than return a rescaled Y.
     """
-    t, u = factor
+    t, u, _ = factor
     y, scale, info = lapack.dtrsyl(t, t, u.T.dot((-d).dot(u)), tranb="T")
     _check_info("dtrsyl", info)
     if scale != 1.0:
@@ -215,25 +223,25 @@ def _schur_solve(factor, d: np.ndarray) -> np.ndarray:
 def solve_lyapunov(a, d):
     """Steady-state covariance via the Bartels-Stewart algorithm.
 
-    _schur_factor then _schur_solve: the sequence of
-    scipy.linalg.solve_continuous_lyapunov, which _one_drift_solves
-    repeats with one factor for a line's points, to the same bits.
+    The drift's kept Schur factor (dgees), then _schur_solve: the sequence
+    of scipy.linalg.solve_continuous_lyapunov, which _one_drift_solves
+    repeats with the same factor for a line's points, to the same bits.
     """
-    return _schur_solve(_schur_factor(a), d)
+    return _schur_solve(a.schur, d)
 
 
-def _one_drift_solves(a, d) -> np.ndarray:
+def _one_drift_solves(drift, d) -> np.ndarray:
     """Steady-state covariances of the points of a line that share the
-    drift ``a``, with diffusions ``d``.
+    DriftMatrix ``drift``, with diffusions ``d``.
 
-    ``a`` is Schur-factored once, and each V comes from that factor by the
-    solve step of solve_lyapunov, symmetrized: the bits solve_lyapunov gives
-    that point.  The line is screened at once for what solve_lyapunov
+    Each V comes from the drift's one Schur factor by the solve step of
+    solve_lyapunov, symmetrized: the bits solve_lyapunov gives that
+    point.  The line is screened at once for what solve_lyapunov
     checks (the residual bound and a positive diagonal); a suspect point
     is checked by solve_lyapunov's own check, so the line raises only
     where solve_lyapunov raises.
     """
-    factor = _schur_factor(a)
+    factor, a = drift.schur, drift.a
     v = np.array([_schur_solve(factor, dk) for dk in d])
     v = 0.5 * (v + v.transpose(0, 2, 1))
     residual = np.abs(a @ v + v @ a.T + d).max(axis=(1, 2))
@@ -253,7 +261,7 @@ def solve_lyapunov_kron(a, d):
     two must agree to 1e-9 on any stable input, which the test suite
     enforces.  A singular system raises numpy.linalg.LinAlgError.
     """
-    eye = np.eye(6)
+    a, eye = a.a, np.eye(6)
     # I (x) A + A (x) I by broadcasting: each entry is the same product
     # with an exact 0.0 or 1.0 that np.kron forms, so the sum is bit-identical.
     system = (eye[:, None, :, None] * a[None, :, None, :]

@@ -177,7 +177,10 @@ class SweepResult:
 
 def _check_range(axis, rng):
     get_axis(axis)  # rejects an unknown axis name
-    lo, hi, count = rng
+    try:
+        lo, hi, count = rng
+    except (TypeError, ValueError):
+        raise ValueError(f"{axis}: range must be (min, max, count), got {rng!r}") from None
     if not all(isinstance(x, numbers.Real) for x in (lo, hi, count)):
         raise ValueError(f"{axis}: range (min, max, count) must be numbers, got {rng!r}")
     if not math.isfinite(count) or int(count) != count or count < 2:
@@ -302,7 +305,7 @@ def _line_values(points, outputs) -> list:
         return values
     d = _diffusions([points[k] for k in stable])
     if one_drift:
-        v = _one_drift_solves(drifts[0].a, d)
+        v = _one_drift_solves(drifts[0], d)
     else:
         v = [solve_lyapunov(drifts[k], _diffusion_matrix(dk)).v for k, dk in zip(stable, d)]
     columns = quantities(np.array(v), outputs)

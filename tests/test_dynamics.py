@@ -254,3 +254,19 @@ def test_drift_matrix_is_read_only():
     drift = build_drift(detunings_from(params), params)
     with pytest.raises(ValueError):
         drift.a[0, 0] = 99.0
+    # So is the Schur factor it keeps.
+    for arr in drift.schur:
+        with pytest.raises(ValueError):
+            arr[0] = 99.0
+
+
+def test_build_drift_refuses_a_non_finite_detuning():
+    # SystemParams is finite by its own rules; a Detunings is not checked
+    # when it is made, so build_drift checks its three values.
+    params, _ = default_params()
+    for k in range(3):
+        values = [0.0, 0.0, 0.0]
+        values[k] = math.nan
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^drift matrix must be 6x6 and finite$"):
+            build_drift(Detunings(*values), params)

@@ -1,9 +1,12 @@
-"""The per-point path calls LAPACK directly (dgeev, dgees + dtrsyl,
-dsyev), and the symplectic spectrum of one matrix or of a stack comes from
-one numpy eigvals call (LAPACK zgeev).  These tests pin those calls to the
-numpy/scipy wrappers they replace, and pin their error contract: non-finite
-or misshapen input is rejected before LAPACK runs, and a LAPACK failure
-raises LinAlgError naming the routine."""
+"""The per-point path calls LAPACK directly (dgees + dtrsyl, dsyev), and
+the symplectic spectrum of one matrix or of a stack comes from one numpy
+eigvals call (LAPACK zgeev).  A drift's one dgees factor gives both its
+stability (the eigenvalues of the Schur form) and its steady-state solve,
+and is computed once per DriftMatrix.  These tests pin those calls to the
+numpy/scipy wrappers they replace and pin the count of factors, and pin
+their error contract: non-finite or misshapen input is rejected before
+LAPACK runs, and a LAPACK failure raises LinAlgError naming the
+routine."""
 
 import re
 
@@ -16,7 +19,7 @@ import cavmag.steadystate
 import cavmag.sweep
 from _systems import random_stable_systems, reference_point, reference_system
 from cavmag.cli import main
-from cavmag.dynamics import DiffusionMatrix, stability_check
+from cavmag.dynamics import DiffusionMatrix, DriftMatrix, stability_check
 from cavmag.measures import _PT_SIGNS, TwoModeCM, log_negativity, reduce_to_magnons
 from cavmag.steadystate import (CovarianceMatrix, propagate_covariance, solve_lyapunov,
                                 solve_lyapunov_kron, symplectic_eigenvalues, symplectic_form)
@@ -43,6 +46,11 @@ def test_solve_lyapunov_matches_scipy_exactly():
         expected = scipy.linalg.solve_continuous_lyapunov(a, -d)
         expected = 0.5 * (expected + expected.T)
         assert np.array_equal(solve_lyapunov(a, d).v, expected)
+        # The factor a stability check keeps on a DriftMatrix gives the
+        # same bits.
+        drift = DriftMatrix(a)
+        assert stability_check(drift).stable
+        assert np.array_equal(solve_lyapunov(drift, d).v, expected)
 
 
 def test_stability_check_matches_numpy_eigvals():
@@ -88,6 +96,46 @@ def test_sweep_path_does_not_use_the_wrappers(monkeypatch):
         result = cavmag.sweep.run_sweep(cavmag.sweep.preset(name, points=3))
         assert all(row.stable for row in result.rows)
         assert calls == [(3, 4, 4)] * 3, name
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each lapack.<name>, which still does its work."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def routine(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return routine
+
+    for name in names:
+        monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+    return calls
+
+
+def test_one_schur_factor_per_detuning_point(monkeypatch):
+    # Each point's drift is factored once, for its stability and its solve.
+    calls = _count_calls(monkeypatch, "dgees", "dgeev")
+    result = cavmag.sweep.run_sweep(cavmag.sweep.preset("fig2b", 5))
+    assert all(row.stable for row in result.rows)
+    assert calls == {"dgees": 25, "dgeev": 0}
+    calls["dgees"] = 0
+    cavmag.sweep.steady_state(reference_point())
+    assert calls == {"dgees": 1, "dgeev": 0}
+
+
+def test_stability_check_factors_a_drift_matrix_once(monkeypatch):
+    a, d = _reference_system()
+    drift = DriftMatrix(a)
+    calls = _count_calls(monkeypatch, "dgees")
+    reports = [stability_check(drift), stability_check(drift)]
+    assert calls == {"dgees": 1}
+    assert reports[0] == reports[1] and reports[0].stable
+    # The solve reuses the factor; a raw array is factored on every call.
+    solve_lyapunov(drift, d)
+    assert calls == {"dgees": 1}
+    stability_check(a)
+    assert calls == {"dgees": 2}
 
 
 # -- error contract ---------------------------------------------------------
@@ -141,7 +189,6 @@ def _forbid_work(monkeypatch):
     input before any work."""
     def forbidden(*args, **kwargs):
         raise AssertionError("invalid input reached the numerics")
-    monkeypatch.setattr(lapack, "dgeev", forbidden)
     monkeypatch.setattr(lapack, "dgees", forbidden)
     monkeypatch.setattr(np.linalg, "solve", forbidden)
     monkeypatch.setattr(np.linalg, "norm", forbidden)
@@ -173,7 +220,7 @@ def test_drift_that_is_not_6x6_is_refused_before_any_work(monkeypatch, routine, 
                          ids=["solve_lyapunov", "solve_lyapunov_kron"])
 def test_diffusion_beside_a_stable_drift_is_refused_before_any_work(monkeypatch, routine,
                                                                      d, message):
-    # D is checked after A's shape and before A's stability test runs dgeev.
+    # D is checked after A's shape and before A's stability test runs dgees.
     _forbid_work(monkeypatch)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         routine(-np.eye(6), d)
@@ -181,7 +228,7 @@ def test_diffusion_beside_a_stable_drift_is_refused_before_any_work(monkeypatch,
 
 @pytest.mark.parametrize("routine", _DRIFT_CONSUMERS.values(), ids=_DRIFT_CONSUMERS)
 def test_empty_drift_never_reaches_lapack(capfd, routine):
-    # Given a 0x0 matrix, dgeev prints an illegal-argument notice on stderr.
+    # Given a 0x0 matrix, dgees prints an illegal-argument notice on stderr.
     with pytest.raises(np.linalg.LinAlgError, match="^drift matrix must be 6x6 and finite$"):
         routine(np.zeros((0, 0)), np.zeros((0, 0)))
     assert capfd.readouterr().err == ""
@@ -226,10 +273,10 @@ def _fail_routine(monkeypatch, name):
     monkeypatch.setattr(lapack, name, failing)
 
 
-def test_dgeev_failure_raises_in_stability_check(monkeypatch):
+def test_dgees_failure_raises_in_stability_check(monkeypatch):
     a, _ = _reference_system()
-    _fail_routine(monkeypatch, "dgeev")
-    with pytest.raises(np.linalg.LinAlgError, match="dgeev"):
+    _fail_routine(monkeypatch, "dgees")
+    with pytest.raises(np.linalg.LinAlgError, match="dgees"):
         stability_check(a)
 
 
@@ -333,7 +380,7 @@ def test_dsyev_failure_raises_in_diffusion_matrix(monkeypatch):
         cavmag.sweep.steady_state(point)
 
 
-@pytest.mark.parametrize("routine", ["dsyev", "dgeev", "dgees", "dtrsyl", "zgeev"])
+@pytest.mark.parametrize("routine", ["dsyev", "dgees", "dtrsyl", "zgeev"])
 def test_lapack_failure_is_a_numerical_failure_in_the_cli(monkeypatch, capsys, routine):
     _fail_routine(monkeypatch, routine)
     assert main(["point"]) == 2

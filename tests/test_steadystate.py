@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from _systems import V_X1_REFERENCE, random_stable_systems, reference_system, rotation
 from cavmag.config import DEFAULTS
-from cavmag.dynamics import UnstableSystemError, build_diffusion, build_drift
+from cavmag.dynamics import DriftMatrix, UnstableSystemError, build_diffusion, build_drift
 from cavmag.model import (
     DriveParams,
     Environment,
@@ -80,7 +80,7 @@ def test_kron_system_is_bit_identical_to_np_kron(monkeypatch):
     drifts.append(drift.a)
     monkeypatch.setattr(np.linalg, "solve", capture)
     for a in drifts:
-        solve_lyapunov_kron.__wrapped__(a, diffusion.d)
+        solve_lyapunov_kron.__wrapped__(DriftMatrix(a), diffusion.d)
     eye = np.eye(6)
     for a, system in zip(drifts, systems, strict=True):
         expected = np.kron(eye, a) + np.kron(a, eye)

@@ -62,16 +62,19 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="^duplicate output quantities$"):
         SweepSpec(axis1="r", range1=(0, 1, 3), fixed=fixed,
                   outputs=("var_x1", "duan_sum", "var_x1"))
-    # A malformed range is a ValueError that names its axis, whatever the
-    # type of the bad entry; the counts and bounds of the messages above
-    # keep their words.
+    # A malformed range is a ValueError that names its axis, whatever its
+    # length or the type of the bad entry; the counts and bounds of the
+    # messages above keep their words.
     fig3 = preset("fig3", points=3)
     for rng, message in (((0.0, 0.5, math.inf), "grid needs at least 2 points, got inf"),
                          ((0.0, 0.5, math.nan), "grid needs at least 2 points, got nan"),
                          ((0.0, 0.5, None), "range (min, max, count) must be numbers"),
                          ((0.0, 0.5, [3]), "range (min, max, count) must be numbers"),
                          ((0.0, 0.5, "3"), "range (min, max, count) must be numbers"),
-                         (("a", 0.5, 3), "range (min, max, count) must be numbers")):
+                         (("a", 0.5, 3), "range (min, max, count) must be numbers"),
+                         ((0, 1), "range must be (min, max, count), got (0, 1)"),
+                         ((0, 1, 3, 4), "range must be (min, max, count)"),
+                         (None, "range must be (min, max, count), got None")):
         with pytest.raises(ValueError) as info:
             replace(fig3, range1=rng)
         assert str(info.value).startswith(f"temperature: {message}"), rng
@@ -601,7 +604,7 @@ def test_vacuum_line_at_zero_temperature():
 def test_fixed_drift_line_builds_and_solves_once(monkeypatch, points):
     drifts = _spy(monkeypatch, "build_drift")
     checks = _spy(monkeypatch, "stability_check")
-    factors = _spy(monkeypatch, "_schur_factor", module=steadystate)
+    factors = _spy(monkeypatch, "_schur_factor", module=dynamics)
     solves = _spy(monkeypatch, "_schur_solve", module=steadystate)
     per_point = _spy(monkeypatch, "solve_lyapunov")
     spec = SweepSpec(axis1="temperature", range1=(0.0, 0.5, points),
