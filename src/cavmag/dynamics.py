@@ -36,7 +36,20 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
 
-@dataclass(frozen=True)
+def _hold(matrix, arr: np.ndarray):
+    """``matrix`` holding ``arr`` read-only as its one field, unchecked:
+    a frozen matrix type (for a new instance), or an instance whose
+    constructor has checked ``arr``.  The pipeline stores the arrays it
+    builds valid through this (build_drift, build_diffusion,
+    _checked_solution)."""
+    if isinstance(matrix, type):
+        matrix = object.__new__(matrix)
+    arr.setflags(write=False)
+    object.__setattr__(matrix, next(iter(matrix.__dataclass_fields__)), arr)
+    return matrix
+
+
+@dataclass(frozen=True, eq=False)
 class DriftMatrix:
     """6x6 real drift matrix in the (dX, dY, dx1, dy1, dx2, dy2) basis,
     checked by _checked_drift_array as every routine checks a drift.
@@ -50,9 +63,7 @@ class DriftMatrix:
     a: np.ndarray
 
     def __post_init__(self):
-        arr = _checked_drift_array(self.a).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "a", arr)
+        _hold(self, _checked_drift_array(self.a).copy())
 
     @functools.cached_property
     def schur(self) -> tuple:
@@ -99,7 +110,7 @@ def _schur_factor(a: np.ndarray) -> tuple:
     return t, u, wr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionMatrix:
     """6x6 real symmetric positive-semidefinite noise matrix, same basis,
     checked by _diffusion_array as every routine checks a diffusion, then
@@ -114,8 +125,7 @@ class DiffusionMatrix:
         eigvals, _, info = lapack.dsyev(arr, compute_v=0)
         _check_info("dsyev", info)
         _require_psd(eigvals[0])
-        arr.setflags(write=False)
-        object.__setattr__(self, "d", arr)
+        _hold(self, arr)
 
 
 def _diffusion_array(d) -> np.ndarray:
@@ -174,7 +184,9 @@ def build_drift(detunings: Detunings, params: SystemParams) -> DriftMatrix:
     diagonal.  There is no direct magnon-magnon block.
 
     SystemParams holds finite values only, so the drift is finite where
-    the detunings are, and is handed over without a second check.
+    the detunings are: a non-finite detuning raises
+    numpy.linalg.LinAlgError, and the built array is stored as it is
+    (_hold), without the copy and checks of the DriftMatrix constructor.
     """
     da, dm1, dm2 = detunings.delta_a, detunings.delta_m1, detunings.delta_m2
     if not (math.isfinite(da) and math.isfinite(dm1) and math.isfinite(dm2)):
@@ -189,10 +201,7 @@ def build_drift(detunings: Detunings, params: SystemParams) -> DriftMatrix:
         [0.0,   g2,   0.0,  0.0, -km2,  dm2],
         [-g2,   0.0,  0.0,  0.0, -dm2, -km2],
     ])
-    a.setflags(write=False)
-    drift = object.__new__(DriftMatrix)
-    object.__setattr__(drift, "a", a)
-    return drift
+    return _hold(DriftMatrix, a)
 
 
 def build_diffusion(params: SystemParams, drive: DriveParams,
@@ -209,12 +218,12 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
     the bath temperature for overflowing magnon entries.  A D that rounding
     leaves indefinite (from r of about 9) raises ArithmeticError.
 
-    This is the one-point case of the builder a sweep line uses
-    (_diffusions): the matrix is checked there once, and the
-    DiffusionMatrix returned is not checked again.
+    This is the one-row call of the builder a sweep line uses
+    (_diffusion_stack): the matrix is checked there, and the
+    DiffusionMatrix returned holds that array without a second check.
     """
-    entries = _diffusion_entries(params, drive, env.n_m1, env.n_m2, env.temperature, {})
-    return _diffusion_matrix(_diffusion_stack([entries])[0])
+    row = (params, drive, env.n_m1, env.n_m2, env.temperature)
+    return _hold(DiffusionMatrix, _diffusion_stack([row])[0])
 
 
 def _cavity_block(kappa_a: float, r: float, theta: float) -> tuple:
@@ -235,60 +244,50 @@ def _cavity_block(kappa_a: float, r: float, theta: float) -> tuple:
     return d00, d11, d01, eigvals[0], info
 
 
-def _diffusion_entries(params: SystemParams, drive: DriveParams, n_m1: float,
-                       n_m2: float, temperature: float, cavity_blocks: dict) -> tuple:
-    """The distinct entries (d00, d11, d01, d22, d44) of one point's D,
-    checked in build_diffusion's order: the r warning, overflow of the
-    cavity entries, then of the magnon entries, then the PSD check.
+def _diffusion_stack(rows) -> np.ndarray:
+    """The (m, 6, 6) stack of D from m rows (params, drive, n_m1, n_m2,
+    temperature), one per point, the magnon baths given by their
+    occupations.  Each row is checked, as it is reached, in
+    build_diffusion's order: the r warning, overflow of the cavity
+    entries, then of the magnon entries, the dsyev info code, then the PSD
+    check.
 
-    ``cavity_blocks`` maps (kappa_a, r, theta) to _cavity_block's result,
-    so the points of a line that share a cavity block compute and
-    eigen-decompose it once.  D is block-diagonal: the cavity block, then
+    The rows that share (kappa_a, r, theta) compute and eigen-decompose
+    their cavity block once.  D is block-diagonal: the cavity block, then
     the magnon entries 2 kappa_mi (n_mi + 1/2) > 0 on the diagonal.  Its
     smallest eigenvalue is the smaller of the block's and those entries,
     so D fails the PSD check exactly when the block does.
     """
-    if drive.r > R_CONDITIONING_LIMIT:
-        warnings.warn(
-            f"squeezing parameter r = {drive.r:.3g} makes diffusion entries "
-            f"of order e^(2r); steady-state solves may lose accuracy",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    key = (params.kappa_a, drive.r, drive.theta)
-    if key not in cavity_blocks:
-        cavity_blocks[key] = _cavity_block(*key)
-    d00, d11, d01, lowest, info = cavity_blocks[key]
-    d22 = 2.0 * params.kappa_m1 * (n_m1 + 0.5)
-    d44 = 2.0 * params.kappa_m2 * (n_m2 + 0.5)
-    if not all(map(math.isfinite, (d00, d11, d01))):
-        raise OverflowError(
-            f"squeezing parameter r = {drive.r:g} overflows the diffusion matrix: "
-            f"its entries of order e^(2r) exceed the largest double")
-    if not (math.isfinite(d22) and math.isfinite(d44)):
-        raise OverflowError(
-            f"magnon bath at T = {temperature:g} K overflows the diffusion matrix: "
-            f"its entries 2 kappa_m (n_m + 1/2) exceed the largest double")
-    _check_info("dsyev", info)
-    try:
-        _require_psd(lowest)
-    except ValueError as exc:
-        raise ArithmeticError(f"squeezing parameter r = {drive.r:g} loses the "
-                              f"diffusion matrix to rounding: {exc}") from exc
-    return d00, d11, d01, d22, d44
-
-
-def _diffusion_matrix(d: np.ndarray) -> DiffusionMatrix:
-    """A DiffusionMatrix holding one D of _diffusion_stack, which
-    _diffusion_entries has checked; it is not checked again."""
-    d.setflags(write=False)
-    matrix = object.__new__(DiffusionMatrix)
-    object.__setattr__(matrix, "d", d)
-    return matrix
-
-
-def _diffusion_stack(entries) -> np.ndarray:
-    """The (m, 6, 6) stack of D from m tuples of _diffusion_entries."""
+    cavity_blocks, entries = {}, []
+    for params, drive, n_m1, n_m2, temperature in rows:
+        if drive.r > R_CONDITIONING_LIMIT:
+            warnings.warn(
+                f"squeezing parameter r = {drive.r:.3g} makes diffusion entries "
+                f"of order e^(2r); steady-state solves may lose accuracy",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        key = (params.kappa_a, drive.r, drive.theta)
+        if key not in cavity_blocks:
+            cavity_blocks[key] = _cavity_block(*key)
+        d00, d11, d01, lowest, info = cavity_blocks[key]
+        d22 = 2.0 * params.kappa_m1 * (n_m1 + 0.5)
+        d44 = 2.0 * params.kappa_m2 * (n_m2 + 0.5)
+        if not all(map(math.isfinite, (d00, d11, d01))):
+            raise OverflowError(
+                f"squeezing parameter r = {drive.r:g} overflows the diffusion matrix: "
+                f"its entries of order e^(2r) exceed the largest double")
+        if not (math.isfinite(d22) and math.isfinite(d44)):
+            raise OverflowError(
+                f"magnon bath at T = {temperature:g} K overflows the diffusion matrix: "
+                f"its entries 2 kappa_m (n_m + 1/2) exceed the largest double")
+        _check_info("dsyev", info)
+        try:
+            _require_psd(lowest)
+        except ValueError as exc:
+            raise ArithmeticError(f"squeezing parameter r = {drive.r:g} loses the "
+                                  f"diffusion matrix to rounding: {exc}") from exc
+        entries.append((d00, d11, d01, d22, d44))
     d00, d11, d01, d22, d44 = np.array(entries, dtype=float).T
     d = np.zeros((len(d00), 6, 6))
     d[:, 0, 0], d[:, 1, 1], d[:, 0, 1], d[:, 1, 0] = d00, d11, d01, d01
@@ -299,15 +298,11 @@ def _diffusion_stack(entries) -> np.ndarray:
 
 def _diffusions(points) -> np.ndarray:
     """The (m, 6, 6) stack of D at m FixedPoints, each as build_diffusion
-    makes it for the bath at the point's own temperature; the points that
-    share a cavity block compute and check it once."""
-    # A loop, not a comprehension: the r warning names the caller.
-    cavity_blocks, entries = {}, []
-    for p in points:
-        entries.append(_diffusion_entries(p.params, p.drive,
-                                          *_occupations(p.params, p.temperature),
-                                          p.temperature, cavity_blocks))
-    return _diffusion_stack(entries)
+    makes it for the bath at the point's own temperature."""
+    # A generator: each point's occupations are computed as its row is
+    # reached, so the rows raise and warn in the order of the points.
+    return _diffusion_stack((p.params, p.drive, *_occupations(p.params, p.temperature),
+                             p.temperature) for p in points)
 
 
 def stability_check(a: DriftMatrix | np.ndarray) -> StabilityReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, lapack
 
-from .dynamics import (_as_drift, _check_info, _checked_drift_array, _diffusion_array,
+from .dynamics import (_as_drift, _check_info, _checked_drift_array, _diffusion_array, _hold,
                        stability_check)
 
 # Max-norm residual of A V + V A^T + D, relative to the max-norm of D.
@@ -90,7 +90,7 @@ def _first_failing(ok: np.ndarray) -> str:
     return f"matrix {index[0] if ok.ndim == 1 else index}: "
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Covariance:
     """_DIM x _DIM covariance, vacuum variance 1/2 per quadrature.
 
@@ -122,33 +122,24 @@ class _Covariance:
                 )
             # Halved before the sum, which cannot overflow.
             arr = 0.5 * arr + 0.5 * arr.T
-        self._keep(arr)
-
-    def _keep(self, arr: np.ndarray) -> None:
-        """Store ``arr`` read-only after the positive-diagonal check."""
-        if min(arr.diagonal().tolist()) <= 0.0:  # arr is finite here
-            raise ValueError(f"{self._NAME} diagonal entries must be positive")
-        arr.setflags(write=False)
-        object.__setattr__(self, "v", arr)
+        self._require_positive_diagonal(arr)
+        _hold(self, arr)
 
     @classmethod
-    def _from_symmetric(cls, arr: np.ndarray):
-        """The covariance holding ``arr``, a finite, exactly symmetric
-        _DIM x _DIM array that no one else holds: only the diagonal is
-        checked, and ``arr`` is stored as it is."""
-        cov = object.__new__(cls)
-        cov._keep(arr)
-        return cov
+    def _require_positive_diagonal(cls, arr: np.ndarray) -> None:
+        """ValueError unless the finite ``arr`` has a positive diagonal."""
+        if min(arr.diagonal().tolist()) <= 0.0:
+            raise ValueError(f"{cls._NAME} diagonal entries must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix(_Covariance):
     """6x6 symmetrized quadrature covariance, basis (dX, dY, dx1, dy1, dx2, dy2)."""
 
     _DIM = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoModeCM(_Covariance):
     """4x4 symmetrized covariance of the magnon pair, basis (dx1, dy1, dx2, dy2)."""
 
@@ -185,7 +176,8 @@ def _checked_solution(name: str, a: np.ndarray, d: np.ndarray, v: np.ndarray):
     RESIDUAL_RTOL max|D| (a NaN residual fails); then ValueError for a
     nonpositive diagonal.  A V that passes the bound is finite (D is), and
     (V + V^T)/2 is exactly symmetric, so CovarianceMatrix's finite and
-    symmetry checks would find nothing and are not run.
+    symmetry checks would find nothing: V is stored as it is (_hold),
+    without them and without the copy.
     """
     v = 0.5 * (v + v.T)
     residual = float(np.abs(a @ v + v @ a.T + d).max())
@@ -195,7 +187,8 @@ def _checked_solution(name: str, a: np.ndarray, d: np.ndarray, v: np.ndarray):
             f"{name}: residual {residual:.3e} exceeds bound {bound:.3e}; "
             f"the system is near marginal stability or badly conditioned"
         )
-    return CovarianceMatrix._from_symmetric(v)
+    CovarianceMatrix._require_positive_diagonal(v)
+    return _hold(CovarianceMatrix, v)
 
 
 def _schur_solve(factor, d: np.ndarray) -> np.ndarray:

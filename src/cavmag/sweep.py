@@ -26,8 +26,8 @@ import numpy as np
 
 from . import config
 from .config import fixed_from_values
-from .dynamics import (UnstableSystemError, _diffusion_matrix, _diffusions, build_diffusion,
-                       build_drift, stability_check)
+from .dynamics import (DiffusionMatrix, UnstableSystemError, _diffusions, _hold,
+                       build_diffusion, build_drift, stability_check)
 from .measures import DUAN_BOUND, MANCINI_BOUND, POINT_QUANTITIES, quantities
 from .model import (
     DriveParams,
@@ -147,7 +147,7 @@ class SweepSpec:
             raise ValueError("duplicate output quantities")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridRow:
     """One grid point: axis values and output values.
 
@@ -307,7 +307,8 @@ def _line_values(points, outputs) -> list:
     if one_drift:
         v = _one_drift_solves(drifts[0], d)
     else:
-        v = [solve_lyapunov(drifts[k], _diffusion_matrix(dk)).v for k, dk in zip(stable, d)]
+        v = [solve_lyapunov(drifts[k], _hold(DiffusionMatrix, dk)).v
+             for k, dk in zip(stable, d)]
     columns = quantities(np.array(v), outputs)
     for k, row in zip(stable, zip(*(columns[name] for name in outputs))):
         values[k] = row
@@ -496,18 +497,19 @@ def check_certification_chain(csv_text: str) -> list[str]:
     criterion below its bound must come with positive log negativity.
 
     Returns a list of violation descriptions (empty when consistent).
-    Rows lacking the relevant columns are skipped.
+    Text without a header line or a log_negativity column has none; a
+    header with log_negativity but no stability column raises ValueError.
     """
     lines = csv_text.splitlines()
-    header = lines[0].split(",")
-    try:
-        e_col = header.index("log_negativity")
-    except ValueError:
+    header = lines[0].split(",") if lines else []
+    if "log_negativity" not in header:
         return []
+    if "stability" not in header:
+        raise ValueError("certification chain: the CSV header has no 'stability' column")
+    e_col, stability_col = header.index("log_negativity"), header.index("stability")
     bounds = [(name, header.index(name), bound)
               for name, bound in (("duan_sum", DUAN_BOUND), ("mancini_product", MANCINI_BOUND))
               if name in header]
-    stability_col = header.index("stability")
     violations = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")

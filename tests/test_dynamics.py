@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.linalg import lapack
 
 from _systems import rotation
+from cavmag import dynamics
 from cavmag.config import default_params
 from cavmag.dynamics import (
     STABILITY_EPS,
@@ -14,7 +16,7 @@ from cavmag.dynamics import (
     StabilityReport,
     UnstableSystemError,
     _cavity_block,
-    _diffusion_stack,
+    _diffusions,
     build_diffusion,
     build_drift,
     stability_check,
@@ -23,10 +25,11 @@ from cavmag.model import (
     Detunings,
     DriveParams,
     Environment,
+    FixedPoint,
     SystemParams,
     detunings_from,
 )
-from cavmag.steadystate import solve_lyapunov
+from cavmag.steadystate import CovarianceMatrix, TwoModeCM, solve_lyapunov
 
 
 def _random_params(rng):
@@ -158,23 +161,64 @@ def test_diffusion_conditioning_warning():
         build_diffusion(params, DriveParams(r=6.5), env)
 
 
-def test_diffusion_psd_check_rests_on_its_cavity_block():
+def test_diffusion_psd_check_rests_on_its_cavity_block(monkeypatch):
     # D is block-diagonal, so the smallest dsyev eigenvalue of the 6x6 D is
     # the smaller of its 2x2 cavity block's and the magnon entries, to the
-    # bit; the noise builder checks D through the block alone.
+    # bit; the noise builder checks D through the block alone.  With the
+    # PSD check switched off, the builder also hands over the D that
+    # rounding leaves indefinite, whose eigenvalue must match too.
+    monkeypatch.setattr(dynamics, "_require_psd", lambda lowest: None)
     params, _ = default_params()
     rng = np.random.default_rng(11)
     for r in np.concatenate([[0.0, 9.5, 10.0, 12.0], rng.uniform(0.0, 20.0, 60)]):
         for theta in (0.0, 0.7, 2.0, rng.uniform(0.0, 2 * math.pi)):
-            d00, d11, d01, lowest, info = _cavity_block(params.kappa_a, r, theta)
+            *_, lowest, info = _cavity_block(params.kappa_a, r, theta)
             assert info == 0
-            for temperature in (0.0, 0.02, 0.3):
-                env = Environment.from_temperature(temperature, params)
-                d22 = 2.0 * params.kappa_m1 * (env.n_m1 + 0.5)
-                d44 = 2.0 * params.kappa_m2 * (env.n_m2 + 0.5)
-                d = _diffusion_stack([(d00, d11, d01, d22, d44)])[0]
+            points = [FixedPoint(params, DriveParams(float(r), theta), temperature)
+                      for temperature in (0.0, 0.02, 0.3)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                stack = _diffusions(points)
+            for d in stack:
                 eigvals, _, info = lapack.dsyev(d, compute_v=0)
-                assert info == 0 and eigvals[0] == min(lowest, d22, d44), (r, theta)
+                assert info == 0 and eigvals[0] == min(lowest, d[2, 2], d[4, 4]), (r, theta)
+
+
+def _built(build):
+    """The bytes of each D that build() returns, or the class and message
+    of its ArithmeticError, then the messages of its warnings, each of
+    which must name this file as the caller."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = [d.tobytes() for d in build()]
+        except ArithmeticError as exc:
+            result = (type(exc), str(exc))
+    assert all(w.filename == __file__ for w in caught)
+    return result, [str(w.message) for w in caught]
+
+
+def test_build_diffusion_is_the_one_row_call_of_the_line_builder():
+    # build_diffusion gives each D of a sweep line's builder bit for bit,
+    # with the same warning where r exceeds the conditioning limit (6.5),
+    # and the same error where rounding leaves D indefinite (9.5), at
+    # which the line fails at its first point.
+    rng = np.random.default_rng(5)
+    for r in (0.0, 1.3, 6.5, 9.5, float(rng.uniform(0.0, 6.0))):
+        params = _random_params(rng)
+        drive = DriveParams(r, float(rng.uniform(0.0, 2 * math.pi)))
+        points = [FixedPoint(params, drive, temperature)
+                  for temperature in (0.0, 0.02, float(rng.uniform(0.0, 1.0)))]
+        line, line_warnings = _built(lambda: _diffusions(points))
+        assert isinstance(line, tuple) == (r == 9.5)
+        if r == 9.5:
+            expected = [(line, line_warnings)] * len(points)
+        else:
+            assert len(line_warnings) == (len(points) if r > 6.0 else 0)
+            expected = [([d], line_warnings[:1]) for d in line]
+        envs = [Environment.from_temperature(p.temperature, params) for p in points]
+        assert [_built(lambda: [build_diffusion(params, drive, env).d]) for env in envs] == (
+            expected), r
 
 
 def test_diffusion_validation():
@@ -203,6 +247,23 @@ def test_matrix_types_check_input_as_the_routines_do(cls, routine):
                 make(bad)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1], bad
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DriftMatrix(-np.eye(6)),
+    lambda: build_drift(detunings_from(default_params()[0]), default_params()[0]),
+    lambda: DiffusionMatrix(np.eye(6)),
+    lambda: CovarianceMatrix(np.eye(6)),
+    lambda: TwoModeCM(np.eye(4)),
+], ids=["DriftMatrix", "build_drift", "DiffusionMatrix", "CovarianceMatrix", "TwoModeCM"])
+def test_matrix_types_compare_and_hash_by_identity(make):
+    # A matrix equals itself only, not another holding an equal array, and
+    # hashes by identity, so it can be a dict key.
+    first, second = make(), make()
+    field = fields(first)[0].name
+    assert np.array_equal(getattr(first, field), getattr(second, field))
+    assert first == first and (first == second) is False and first != second
+    assert {first: 1, second: 2}[first] == 1 and hash(first) == hash(first)
 
 
 def test_stability_report_holds_only_the_largest_real_part():

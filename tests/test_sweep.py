@@ -135,6 +135,22 @@ def _spy(monkeypatch, name, fails=None, exc=None, module=sweep_mod):
     return calls
 
 
+def _spy_noise_rows(monkeypatch, fails=None, exc=None):
+    """Record the rows (params, drive, n_m1, n_m2, temperature) that
+    dynamics._diffusion_stack checks, in the order it reaches them; a row
+    for which fails(row) is true raises exc where the builder reaches it."""
+    real, rows = dynamics._diffusion_stack, []
+
+    def reached(row):
+        rows.append(row)
+        if fails is not None and fails(row):
+            raise exc
+        return row
+
+    monkeypatch.setattr(dynamics, "_diffusion_stack", lambda given: real(map(reached, given)))
+    return rows
+
+
 def test_failing_grid_point_names_itself(monkeypatch):
     # The exception keeps its class; its message gains the point's axis
     # columns and values.  dsyev, the PSD check of a point's cavity noise
@@ -199,8 +215,8 @@ def test_first_failing_point_of_a_line_is_named(monkeypatch):
     # The line fails at theta = 1 in its noise stage, and its measures fail
     # as a stack; evaluated on its own, theta = 0.5 fails first, in its
     # measures, and that point is named with its own error.
-    _spy(monkeypatch, "_diffusion_entries", lambda params, drive, *bath: drive.theta == 1.0,
-         ValueError("diffusion at theta = 1"), module=dynamics)
+    _spy_noise_rows(monkeypatch, lambda row: row[1].theta == 1.0,
+                    ValueError("diffusion at theta = 1"))
     real, alone = sweep_mod.quantities, []
 
     def second_point_fails(v, names):
@@ -467,7 +483,7 @@ def test_all_points_unstable_still_completes(monkeypatch):
 
 def test_unstable_fixed_drift_gives_unstable_rows_after_one_check(monkeypatch):
     calls = _unstable_every(monkeypatch, 1)
-    diffusions = _spy(monkeypatch, "_diffusion_entries", module=dynamics)
+    diffusions = _spy_noise_rows(monkeypatch)
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 5), fixed=reference_point(),
                      outputs=("log_negativity",))
     result = run_sweep(spec)
@@ -477,13 +493,13 @@ def test_unstable_fixed_drift_gives_unstable_rows_after_one_check(monkeypatch):
 
 def test_unstable_detuning_point_builds_no_diffusion(monkeypatch):
     _unstable_every(monkeypatch, 2)
-    diffusions = _spy(monkeypatch, "_diffusion_entries", module=dynamics)
+    diffusions = _spy_noise_rows(monkeypatch)
     spec = SweepSpec(axis1="delta_a", range1=(0.0, 1e6, 4), fixed=reference_point(),
                      outputs=("log_negativity",))
     result = run_sweep(spec)
     assert [row.stable for row in result.rows] == [True, False, True, False]
     detune = sweep_mod.get_axis("delta_a").apply
-    assert [args[0] for args in diffusions] == [
+    assert [row[0] for row in diffusions] == [
         detune(spec.fixed, row.axis1_value).params for row in result.rows[::2]]
 
 
@@ -518,6 +534,17 @@ def test_certification_chain_flags_violations():
     violations = check_certification_chain(text)
     assert len(violations) == 2  # duan and mancini on line 2 only
     assert all("line 2" in v for v in violations)
+
+
+def test_certification_chain_needs_a_header_and_a_stability_column():
+    # Text without a header line has nothing to certify; a header with
+    # log_negativity but no stability column cannot be read.
+    for text in ("", "\n"):
+        assert check_certification_chain(text) == []
+    text = "delta_a_hz,log_negativity,duan_sum\n0,0,0.5\n"
+    with pytest.raises(ValueError, match="^certification chain: the CSV header has no "
+                                         "'stability' column$"):
+        check_certification_chain(text)
 
 
 def test_detuning_grid_is_symmetric_under_sign_flip():
