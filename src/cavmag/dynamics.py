@@ -41,7 +41,7 @@ def _hold(matrix, arr: np.ndarray):
     a frozen matrix type (for a new instance), or an instance whose
     constructor has checked ``arr``.  The pipeline stores the arrays it
     builds valid through this (build_drift, build_diffusion,
-    _checked_solution)."""
+    steadystate._lyapunov_backend)."""
     if isinstance(matrix, type):
         matrix = object.__new__(matrix)
     arr.setflags(write=False)

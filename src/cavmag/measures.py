@@ -144,8 +144,12 @@ def quantities(v, names) -> dict[str, list[float]]:
     The collective variances are the elementwise arithmetic of
     collective_variances; log negativity (EntanglementResult) and squeezing
     (squeezing_db) are applied per value.  Each value is therefore the one
-    the per-matrix functions give, bit for bit.
+    the per-matrix functions give, bit for bit.  An unknown name raises
+    ValueError.
     """
+    for name in names:
+        if name not in POINT_QUANTITIES:
+            raise ValueError(f"unknown output {name!r}; valid: {', '.join(POINT_QUANTITIES)}")
     v = np.asarray(v, dtype=float)
     nu = symplectic_eigenvalues(v[..., 2:, 2:] * _PT_SIGNS)[..., 0].ravel().tolist()
     var_Mx, _, _, var_my = _collective(v)

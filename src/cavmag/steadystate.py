@@ -2,10 +2,11 @@
 
 The covariance types and their symplectic spectrum.  The stationary V
 solves A V + V A^T = -D by either of two cross-validated backends under
-one contract: a Bartels-Stewart solve calling LAPACK dtrsyl directly on
-the drift's real Schur factor, and a dense 36x36 vectorized solve.  The
-factor (dgees) is the one the stability test computed and the DriftMatrix
-keeps (dynamics.DriftMatrix.schur), so a drift is factored once for both.
+one contract (_lyapunov_backend), the one home of the check of a solved
+V: a Bartels-Stewart solve calling LAPACK dtrsyl directly on the drift's
+real Schur factor, and a dense 36x36 vectorized solve.  The factor
+(dgees) is the one the stability test computed and the DriftMatrix keeps
+(dynamics.DriftMatrix.schur), so a drift is factored once for both.
 propagate_covariance steps dV/dt = A V + V A^T + D exactly with the matrix
 exponential, applying the n steps in O(log n) products by doubling.
 """
@@ -43,11 +44,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return form
 
 
-@functools.lru_cache(maxsize=None)
-def _i_symplectic_form(n_modes: int) -> np.ndarray:
-    return 1j * symplectic_form(n_modes)
-
-
 def symplectic_eigenvalues(v) -> np.ndarray:
     """The n distinct moduli of the eigenvalues of i Omega V, ascending.
 
@@ -67,7 +63,7 @@ def symplectic_eigenvalues(v) -> np.ndarray:
     if not finite.all():
         raise np.linalg.LinAlgError(_first_failing(finite) + "eigenvalue input must be finite")
     try:
-        eigvals = np.linalg.eigvals(_i_symplectic_form(arr.shape[-1] // 2) @ arr)
+        eigvals = np.linalg.eigvals(1j * symplectic_form(arr.shape[-1] // 2) @ arr)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"LAPACK zgeev failed: {exc}") from exc
     moduli = np.abs(eigvals)
@@ -152,9 +148,11 @@ def _lyapunov_backend(solve):
     A V + V A^T = -D, checked in this order before any LAPACK call: an A
     that is not 6x6 or has a non-finite entry raises
     numpy.linalg.LinAlgError, a D that is not 6x6 or has a non-finite entry
-    ValueError, and an unstable A UnstableSystemError; the symmetrized V
-    must meet max|A V + V A^T + D| <= 1e-10 max|D| (a NaN residual fails)
-    or ArithmeticError is raised.  A DriftMatrix or DiffusionMatrix already
+    ValueError, and an unstable A UnstableSystemError.  The symmetrized V
+    must then meet max|A V + V A^T + D| <= 1e-10 max|D| (a NaN residual
+    fails) or ArithmeticError is raised, and have a positive diagonal or
+    ValueError is; such a V is finite and exactly symmetric, so it is
+    stored as it is (_hold).  A DriftMatrix or DiffusionMatrix already
     meets its part of the contract and is not checked again.  The raw
     solve gets A as a DriftMatrix, whose Schur factor the stability test
     has just computed.
@@ -164,31 +162,19 @@ def _lyapunov_backend(solve):
         drift = _as_drift(a)
         d_arr = _diffusion_array(d)
         stability_check(drift).require()
-        return _checked_solution(solve.__name__, drift.a, d_arr, solve(drift, d_arr))
+        v = solve(drift, d_arr)
+        v, a = 0.5 * (v + v.T), drift.a
+        residual = float(np.abs(a @ v + v @ a.T + d_arr).max())
+        bound = RESIDUAL_RTOL * float(np.abs(d_arr).max())
+        if not residual <= bound:
+            raise ArithmeticError(
+                f"{solve.__name__}: residual {residual:.3e} exceeds bound {bound:.3e}; "
+                f"the system is near marginal stability or badly conditioned"
+            )
+        CovarianceMatrix._require_positive_diagonal(v)
+        return _hold(CovarianceMatrix, v)
 
     return backend
-
-
-def _checked_solution(name: str, a: np.ndarray, d: np.ndarray, v: np.ndarray):
-    """The symmetrized solution V of A V + V A^T = -D as a CovarianceMatrix.
-
-    ArithmeticError, naming the solver, unless max|A V + V A^T + D| <=
-    RESIDUAL_RTOL max|D| (a NaN residual fails); then ValueError for a
-    nonpositive diagonal.  A V that passes the bound is finite (D is), and
-    (V + V^T)/2 is exactly symmetric, so CovarianceMatrix's finite and
-    symmetry checks would find nothing: V is stored as it is (_hold),
-    without them and without the copy.
-    """
-    v = 0.5 * (v + v.T)
-    residual = float(np.abs(a @ v + v @ a.T + d).max())
-    bound = RESIDUAL_RTOL * float(np.abs(d).max())
-    if not residual <= bound:
-        raise ArithmeticError(
-            f"{name}: residual {residual:.3e} exceeds bound {bound:.3e}; "
-            f"the system is near marginal stability or badly conditioned"
-        )
-    CovarianceMatrix._require_positive_diagonal(v)
-    return _hold(CovarianceMatrix, v)
 
 
 def _schur_solve(factor, d: np.ndarray) -> np.ndarray:
@@ -229,19 +215,18 @@ def _one_drift_solves(drift, d) -> np.ndarray:
 
     Each V comes from the drift's one Schur factor by the solve step of
     solve_lyapunov, symmetrized: the bits solve_lyapunov gives that
-    point.  The line is screened at once for what solve_lyapunov
-    checks (the residual bound and a positive diagonal); a suspect point
-    is checked by solve_lyapunov's own check, so the line raises only
-    where solve_lyapunov raises.
+    point.  The line is screened at once for the rule of _lyapunov_backend
+    (the residual bound and a positive diagonal); if any point fails it,
+    the line raises ArithmeticError, and run_sweep evaluates it again
+    point by point, where solve_lyapunov names the point and its error.
     """
     factor, a = drift.schur, drift.a
     v = np.array([_schur_solve(factor, dk) for dk in d])
     v = 0.5 * (v + v.transpose(0, 2, 1))
     residual = np.abs(a @ v + v @ a.T + d).max(axis=(1, 2))
-    suspect = ~(residual <= RESIDUAL_RTOL * np.abs(d).max(axis=(1, 2)))
-    suspect |= ~(np.diagonal(v, axis1=1, axis2=2) > 0.0).all(axis=1)
-    for j in np.flatnonzero(suspect).tolist():
-        _checked_solution("solve_lyapunov", a, d[j], v[j])
+    if not ((residual <= RESIDUAL_RTOL * np.abs(d).max(axis=(1, 2))).all()
+            and (np.diagonal(v, axis1=1, axis2=2) > 0.0).all()):
+        raise ArithmeticError("a solved covariance of the line fails solve_lyapunov's check")
     return v
 
 

@@ -126,6 +126,8 @@ class SweepSpec:
     range2: tuple[float, float, int] | None = None
 
     def __post_init__(self):
+        if isinstance(self.outputs, str) or not hasattr(self.outputs, "__iter__"):
+            raise ValueError("outputs must be a sequence of quantity names")
         object.__setattr__(self, "outputs", tuple(self.outputs))
         _check_range(self.axis1, self.range1)
         if self.axis2 is not None:
@@ -231,7 +233,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
       checked once per distinct cavity block.
     - solve: each point is solved with solve_lyapunov, or, on a line with
       one drift, from that drift's one Schur factor as solve_lyapunov
-      solves it, to the same bits (steadystate._one_drift_solves).
+      solves it, to the same bits (steadystate._one_drift_solves), whose
+      screen raises for the line if a point fails solve_lyapunov's check.
     - measures: one measures.quantities call for the line's stable points.
 
     A point without a steady state gives an unstable row.  A line that
@@ -498,7 +501,9 @@ def check_certification_chain(csv_text: str) -> list[str]:
 
     Returns a list of violation descriptions (empty when consistent).
     Text without a header line or a log_negativity column has none; a
-    header with log_negativity but no stability column raises ValueError.
+    header with log_negativity but no stability column, a row whose cell
+    count is not the header's and a stable row with a criterion cell that
+    is not a number raise ValueError.
     """
     lines = csv_text.splitlines()
     header = lines[0].split(",") if lines else []
@@ -513,15 +518,20 @@ def check_certification_chain(csv_text: str) -> list[str]:
     violations = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"certification chain: line {lineno} has {len(cells)} "
+                             f"cells but the header has {len(header)}")
         if cells[stability_col] != "stable":
             continue
-        e_value = float(cells[e_col])
-        for name, col, bound in bounds:
-            value = float(cells[col])
-            if value < bound and not e_value > 0.0:
-                violations.append(
-                    f"line {lineno}: {name} = {value} < {bound:g} but "
-                    f"log_negativity = {e_value}"
-                )
+        try:
+            e_value = float(cells[e_col])
+            for name, col, bound in bounds:
+                value = float(cells[col])
+                if value < bound and not e_value > 0.0:
+                    violations.append(
+                        f"line {lineno}: {name} = {value} < {bound:g} but "
+                        f"log_negativity = {e_value}"
+                    )
+        except ValueError as exc:
+            raise ValueError(f"certification chain: line {lineno}: {exc}") from None
     return violations
-

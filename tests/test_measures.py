@@ -15,6 +15,7 @@ from cavmag.measures import (
     input_squeezing_db,
     log_negativity,
     mancini_product,
+    quantities,
     reduce_to_magnons,
     squeezing_db,
 )
@@ -244,3 +245,12 @@ def test_two_mode_cm_validation():
     non_finite[2, 3] = non_finite[3, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
         TwoModeCM(non_finite)
+
+
+def test_quantities_rejects_an_unknown_name():
+    v = steady_state(reference_point())[2].v
+    with pytest.raises(ValueError) as info:
+        quantities(v, ["var_x1", "foo"])
+    assert str(info.value) == (
+        "unknown output 'foo'; valid: log_negativity, nu_minus, duan_sum, "
+        "mancini_product, var_x1, var_Mx, var_my, squeezing_db_x1, squeezing_db_Mx")

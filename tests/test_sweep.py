@@ -44,6 +44,10 @@ def test_spec_validation():
                   outputs=("log_negativity",))
     with pytest.raises(ValueError, match="output"):
         SweepSpec(axis1="r", range1=(0, 1, 3), fixed=fixed, outputs=("bogus",))
+    # A bare name or a non-sequence is not read as a sequence of names.
+    for outputs in ("log_negativity", None, 5):
+        with pytest.raises(ValueError, match="^outputs must be a sequence of quantity names$"):
+            replace(preset("fig3", 3), outputs=outputs)
     for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="^r: range bounds must be finite"):
             SweepSpec(axis1="r", range1=(lo, hi, 3), fixed=fixed,
@@ -209,6 +213,29 @@ def test_failing_point_solve_names_its_own_point(monkeypatch):
         run_sweep(spec)
     assert str(info.value) == ("r = 1, temperature_k = 0.15000000000000002: "
                                "dtrsyl scaled the solution")
+
+
+def test_bad_solution_on_a_fixed_drift_line_is_named_by_the_point_solve(monkeypatch):
+    # The line's Schur solve returns a V off by 1.0 at the middle point, so
+    # its residual fails solve_lyapunov's check.  run_sweep names that
+    # point with exactly the error steady_state gives it.
+    point = reference_point(temperature_k=0.1)
+    d_point = steady_state(point)[1].d
+    real = steadystate._schur_solve
+
+    def schur_solve(factor, d):
+        return real(factor, d) + (1.0 if np.array_equal(d, d_point) else 0.0)
+
+    monkeypatch.setattr(steadystate, "_schur_solve", schur_solve)
+    with pytest.raises(ArithmeticError) as alone:
+        steady_state(point)
+    assert str(alone.value).startswith("solve_lyapunov: residual ")
+    assert " exceeds bound " in str(alone.value)
+    spec = SweepSpec(axis1="temperature", range1=(0.0, 0.2, 3), fixed=reference_point(),
+                     outputs=("log_negativity",))
+    with pytest.raises(ArithmeticError) as info:
+        run_sweep(spec)
+    assert str(info.value) == f"temperature_k = 0.10000000000000001: {alone.value}"
 
 
 def test_first_failing_point_of_a_line_is_named(monkeypatch):
@@ -545,6 +572,24 @@ def test_certification_chain_needs_a_header_and_a_stability_column():
     with pytest.raises(ValueError, match="^certification chain: the CSV header has no "
                                          "'stability' column$"):
         check_certification_chain(text)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,2", "line 3 has 2 cells but the header has 5"),
+    ("1,0,0.5,0.1,0,stable", "line 3 has 6 cells but the header has 5"),
+    ("1,,0.5,0.1,stable", "line 3: could not convert string to float: ''"),
+    ("1,x,0.5,0.1,stable", "line 3: could not convert string to float: 'x'"),
+    ("1,0,,0.1,stable", "line 3: could not convert string to float: ''"),
+    ("1,0,0.5,-,stable", "line 3: could not convert string to float: '-'"),
+])
+def test_certification_chain_names_a_malformed_row(row, message):
+    # A row must have the header's cells, and a stable row numbers in the
+    # cells the chain reads; an unstable row's empty cells are not read.
+    text = ("delta_a_hz,log_negativity,duan_sum,mancini_product,stability\n"
+            "0,,,,unstable\n" + row + "\n")
+    with pytest.raises(ValueError) as info:
+        check_certification_chain(text)
+    assert str(info.value) == f"certification chain: {message}"
 
 
 def test_detuning_grid_is_symmetric_under_sign_flip():
