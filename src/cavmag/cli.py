@@ -136,32 +136,33 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 def main(argv=None) -> int:
     # Warnings print as one line without the library's source location;
-    # the caller's handler is restored on return.
-    with warnings.catch_warnings():
-        warnings.showwarning = _show_warning
-        try:
-            args = _build_parser().parse_args(argv)
-            status = args.handler(args)
-            sys.stdout.flush()  # a closed stdout must fail here, not at exit
-            return status
-        except SystemExit as exc:  # --help
-            return int(exc.code or 0)
-        except BrokenPipeError:  # stdout's reader left; the final flush must not fail
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return 141
-        # LinAlgError subclasses ValueError, so it must be caught first.
-        except (ArithmeticError, np.linalg.LinAlgError) as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return 2
-        except (ValueError, OSError) as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 1
-        except MemoryError as exc:  # e.g. --points too large for the grid
-            print(f"usage error: out of memory: {str(exc) or 'allocation failed'}",
-                  file=sys.stderr)
-            return 1
+    # only the handler is swapped, and it is restored on return.
+    caller_show, warnings.showwarning = warnings.showwarning, _show_warning
+    try:
+        args = _build_parser().parse_args(argv)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed stdout must fail here, not at exit
+        return status
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except BrokenPipeError:  # stdout's reader left; the final flush must not fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    # LinAlgError subclasses ValueError, so it must be caught first.
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. --points too large for the grid
+        print(f"usage error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 1
+    finally:
+        warnings.showwarning = caller_show
 
 
 if __name__ == "__main__":

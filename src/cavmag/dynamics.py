@@ -219,8 +219,8 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
     leaves indefinite (from r of about 9) raises ArithmeticError.
 
     This is the one-row call of the builder a sweep line uses
-    (_diffusion_stack): the matrix is checked there, and the
-    DiffusionMatrix returned holds that array without a second check.
+    (_diffusion_stack), which checks the matrix and raises the r warning;
+    the DiffusionMatrix returned holds that array without a second check.
     """
     row = (params, drive, env.n_m1, env.n_m2, env.temperature)
     return _hold(DiffusionMatrix, _diffusion_stack([row])[0])
@@ -250,7 +250,8 @@ def _diffusion_stack(rows) -> np.ndarray:
     occupations.  Each row is checked, as it is reached, in
     build_diffusion's order: the r warning, overflow of the cavity
     entries, then of the magnon entries, the dsyev info code, then the PSD
-    check.
+    check.  The warning is raised here for every caller, so each
+    text shows once per registry, whichever path reaches it.
 
     The rows that share (kappa_a, r, theta) compute and eigen-decompose
     their cavity block once.  D is block-diagonal: the cavity block, then
@@ -265,7 +266,6 @@ def _diffusion_stack(rows) -> np.ndarray:
                 f"squeezing parameter r = {drive.r:.3g} makes diffusion entries "
                 f"of order e^(2r); steady-state solves may lose accuracy",
                 RuntimeWarning,
-                stacklevel=3,
             )
         key = (params.kappa_a, drive.r, drive.theta)
         if key not in cavity_blocks:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -98,7 +97,7 @@ _AXES = {
     "theta": Axis("theta_rad", ("theta_rad",),
                   lambda p, theta: FixedPoint(p.params, DriveParams(p.drive.r, theta),
                                               p.temperature),
-                  lambda p, n: (0.0, TWO_PI * (n - 1) / n, n)),
+                  lambda p, n: (0.0, TWO_PI * (n - 1) / max(n, 1), n)),
     "temperature": Axis("temperature_k", ("temperature_k",),
                         lambda p, t: FixedPoint(p.params, p.drive, t),
                         lambda p, n: (0.0, 0.5, n)),
@@ -173,6 +172,9 @@ class SweepResult:
 
     def column(self, name: str) -> list[float | None]:
         """Values of one output across all rows (None on unstable rows)."""
+        if name not in self.spec.outputs:
+            raise ValueError(f"unknown output {name!r}; this sweep's outputs: "
+                             f"{', '.join(self.spec.outputs)}")
         index = self.spec.outputs.index(name)
         return [row.values[index] if row.stable else None for row in self.rows]
 
@@ -198,11 +200,9 @@ def steady_state(point: FixedPoint):
 
     Raises UnstableSystemError when the drift has no steady state.
     """
-    params = point.params
-    drift = build_drift(detunings_from(params), params)
-    stability_check(drift).require()
-    env = Environment.from_temperature(point.temperature, params)
-    diffusion = build_diffusion(params, point.drive, env)
+    drift = _stable_drift(point)
+    env = Environment.from_temperature(point.temperature, point.params)
+    diffusion = build_diffusion(point.params, point.drive, env)
     return drift, diffusion, solve_lyapunov(drift, diffusion)
 
 
@@ -225,24 +225,26 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     line before the next (_line_values):
 
     - drift: each point builds its drift and checks its stability, as
-      steady_state does.  Where every point of the line has the first
-      point's SystemParams, the drift's only input, this is done once.
-    - noise: dynamics._diffusions builds D at the line's stable points
-      (none at an unstable one) as build_diffusion builds it at one point:
-      every entry, warning and error is build_diffusion's, and D is
-      checked once per distinct cavity block.
+      steady_state does (_stable_drift), and an unstable point raises.
+      Where every point of the line has the first point's SystemParams,
+      the drift's only input, this is done once.
+    - noise: dynamics._diffusions builds D at the line's points as
+      build_diffusion builds it at one point: every entry, warning and
+      error is build_diffusion's, and D is checked once per distinct
+      cavity block.
     - solve: each point is solved with solve_lyapunov, or, on a line with
       one drift, from that drift's one Schur factor as solve_lyapunov
       solves it, to the same bits (steadystate._one_drift_solves), whose
       screen raises for the line if a point fails solve_lyapunov's check.
-    - measures: one measures.quantities call for the line's stable points.
+    - measures: one measures.quantities call for the line's points.
 
-    A point without a steady state gives an unstable row.  A line that
-    raises is evaluated again by the per-point pipeline it reproduces
-    (axis.apply, steady_state, quantities): the first point that raises
-    propagates, its message prefixed by its coordinates; if none does, the
-    rows are the per-point rows.  That pass records and drops its
-    warnings, which the line has shown, so an "error" filter still raises.
+    A line that raises, at an unstable point too, is evaluated again by
+    the per-point pipeline it reproduces (axis.apply, steady_state,
+    quantities), the one source of unstable rows: a point without a
+    steady state gives an unstable row, the first point that raises
+    otherwise propagates, its message prefixed by its coordinates.  Both
+    paths warn from the one place in dynamics._diffusion_stack, so a
+    warning the line has shown is not shown again.
     """
     axis1, axis2 = _AXES[spec.axis1], _AXES.get(spec.axis2)
     line_axis = axis2 or axis1
@@ -263,10 +265,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         except Exception:
             values = None  # evaluated below, so no point error chains to this one
         if values is None:
-            with warnings.catch_warnings(record=True):
-                values = [_point_values(line_axis, base, v, spec.outputs,
-                                        zip((axis1, axis2), c))
-                          for v, c in zip(line, coordinates)]
+            values = [_point_values(line_axis, base, v, spec.outputs,
+                                    zip((axis1, axis2), c))
+                      for v, c in zip(line, coordinates)]
         rows += [GridRow(c1, c2, row) for (c1, c2), row in zip(coordinates, values)]
     return SweepResult(spec=spec, rows=tuple(rows))
 
@@ -295,34 +296,27 @@ def _point_values(axis, base, value, outputs, coordinates):
 
 
 def _line_values(points, outputs) -> list:
-    """Output tuples of a line's points, None where unstable, from the four
-    stages of run_sweep; whatever a stage raises propagates unnamed."""
+    """Output tuples of a line's points from the four stages of run_sweep;
+    whatever a stage raises (UnstableSystemError too) propagates unnamed."""
     # SystemParams is the only input of build_drift.
     one_drift = all(point.params == points[0].params for point in points)
     drifts = [_stable_drift(point) for point in (points[:1] if one_drift else points)]
-    if one_drift:
-        drifts *= len(points)
-    stable = [k for k, drift in enumerate(drifts) if drift is not None]
-    values = [None] * len(points)
-    if not stable:
-        return values
-    d = _diffusions([points[k] for k in stable])
+    d = _diffusions(points)
     if one_drift:
         v = _one_drift_solves(drifts[0], d)
     else:
-        v = [solve_lyapunov(drifts[k], _hold(DiffusionMatrix, dk)).v
-             for k, dk in zip(stable, d)]
+        v = [solve_lyapunov(drift, _hold(DiffusionMatrix, dk)).v
+             for drift, dk in zip(drifts, d)]
     columns = quantities(np.array(v), outputs)
-    for k, row in zip(stable, zip(*(columns[name] for name in outputs))):
-        values[k] = row
-    return values
+    return list(zip(*(columns[name] for name in outputs)))
 
 
 def _stable_drift(point):
-    """The drift at one point, None if it has no steady state."""
+    """The drift at one point; UnstableSystemError without a steady state."""
     params = point.params
     drift = build_drift(detunings_from(params), params)
-    return drift if stability_check(drift).stable else None
+    stability_check(drift).require()
+    return drift
 
 
 # ---------------------------------------------------------------------------

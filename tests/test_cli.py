@@ -112,6 +112,13 @@ def test_non_finite_set_value_names_the_key(capsys):
     assert "usage error" in err and "'temperature_k' must be finite" in err
 
 
+def test_too_few_points_name_the_first_axis(capsys):
+    # fig5b's theta range spans (n - 1)/n of a period; at n = 0 the count
+    # check of the first axis, r, must speak before that range divides by n.
+    assert _failure(capsys, 1, "sweep", "--preset", "fig5b", "--points", "0") == (
+        "usage error: r: grid needs at least 2 points, got 0\n")
+
+
 def test_bad_range_axis_is_usage_error(capsys):
     assert "not swept" in _failure(capsys, 1, "sweep", "--preset", "fig3", "--points", "3",
                                    "--range", "r=0:1")

@@ -187,14 +187,15 @@ def test_diffusion_psd_check_rests_on_its_cavity_block(monkeypatch):
 def _built(build):
     """The bytes of each D that build() returns, or the class and message
     of its ArithmeticError, then the messages of its warnings, each of
-    which must name this file as the caller."""
+    which must be raised from the one place in dynamics.py that raises it
+    for every caller."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             result = [d.tobytes() for d in build()]
         except ArithmeticError as exc:
             result = (type(exc), str(exc))
-    assert all(w.filename == __file__ for w in caught)
+    assert all(w.filename == dynamics.__file__ for w in caught)
     return result, [str(w.message) for w in caught]
 
 

@@ -499,22 +499,26 @@ def test_csv_unstable_rows_have_empty_cells(monkeypatch):
 
 
 def test_all_points_unstable_still_completes(monkeypatch):
+    # The line stops at its first unstable point (one check); the
+    # per-point pipeline then checks each of the three points.
     calls = _unstable_every(monkeypatch, 1)
     spec = SweepSpec(axis1="delta_a", range1=(0.0, 1e6, 3), fixed=reference_point(),
                      outputs=("log_negativity",))
     result = run_sweep(spec)
-    assert len(calls) == 3
+    assert len(calls) == 1 + 3
     assert len(result.rows) == 3
     assert all(not row.stable and row.values is None for row in result.rows)
 
 
 def test_unstable_fixed_drift_gives_unstable_rows_after_one_check(monkeypatch):
+    # The line checks its one drift once and raises; the per-point
+    # pipeline then checks each of the five points, and no D is built.
     calls = _unstable_every(monkeypatch, 1)
     diffusions = _spy_noise_rows(monkeypatch)
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 5), fixed=reference_point(),
                      outputs=("log_negativity",))
     result = run_sweep(spec)
-    assert len(calls) == 1 and not diffusions
+    assert len(calls) == 1 + 5 and not diffusions
     assert [row.values for row in result.rows] == [None] * 5
 
 
@@ -611,6 +615,13 @@ def test_sweep_result_column_lookup():
     assert len(result.column("log_negativity")) == 3
     with pytest.raises(ValueError):
         result.column("var_x1")  # not an output of this preset
+
+
+def test_column_of_a_missing_output_names_the_sweeps_outputs():
+    result = run_sweep(preset("fig3", points=3))
+    with pytest.raises(ValueError, match="^unknown output 'nu_minus'; this sweep's "
+                                         "outputs: log_negativity$"):
+        result.column("nu_minus")
 
 
 def test_format_csv_round_trip_manual_rows():
@@ -722,3 +733,28 @@ def test_line_warnings_show_once_and_errors_stay_errors():
             run_sweep(spec)
     assert str(info.value).startswith(
         "delta_a_hz = -15000000, r = 7: squeezing parameter r = 7 makes diffusion entries")
+
+
+def test_a_line_evaluated_point_by_point_shows_no_warning_again(monkeypatch):
+    # The first of fig4b's r lines (r = 5, 7, 9) fails its solve and is
+    # evaluated again by steady_state, which warns from the same place as
+    # the line: each warning still shows once in the whole sweep.
+    spec = with_range(preset("fig4b", 3), "r", 5.0, 9.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = format_csv(run_sweep(spec))
+    real, lines = sweep_mod._one_drift_solves, []
+
+    def first_line_fails(drift, d):
+        lines.append(drift)
+        if len(lines) == 1:
+            raise ArithmeticError("line solve failed")
+        return real(drift, d)
+
+    monkeypatch.setattr(sweep_mod, "_one_drift_solves", first_line_fails)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")
+        result = run_sweep(spec)
+    assert len(lines) == 3 and format_csv(result) == expected
+    assert [str(w.message)[:32] for w in shown] == ["squeezing parameter r = 7 makes ",
+                                                     "squeezing parameter r = 9 makes "]
