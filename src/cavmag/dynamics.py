@@ -11,16 +11,17 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .model import DriveParams, Detunings, Environment, SystemParams, _occupations
 
-# Margin below zero that the largest drift eigenvalue real part must clear
-# for the system to count as stable (internal units).
-STABILITY_EPS = 1e-9
+# A drift is stable when eps max|A| / |alpha| (alpha < 0 its largest eigenvalue
+# real part), the relative error a solve can leave in its slowest mode, is below this.
+RESOLUTION_RTOL = 1e-3
+_EPS = float(np.finfo(float).eps)
 
 # Diffusion entries grow like e^(2r); above this the steady-state solves
 # start losing accuracy and a warning is emitted.
@@ -74,7 +75,8 @@ class DriftMatrix:
     @functools.cached_property
     def _stability(self) -> StabilityReport:
         """The StabilityReport of the largest real part in ``schur``."""
-        return StabilityReport(max_real_part=float(self.schur[2].max()))
+        floor = _EPS * float(np.abs(self.a).max()) / RESOLUTION_RTOL
+        return StabilityReport(float(self.schur[2].max()), floor, self.a)
 
 
 def _checked_drift_array(a) -> np.ndarray:
@@ -152,26 +154,39 @@ def _require_psd(lowest: float) -> None:
 
 
 class UnstableSystemError(ArithmeticError):
-    """The drift matrix is not asymptotically stable; no steady state exists."""
+    """The drift fails the stability rule and is not damped by construction."""
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Largest real part of a drift spectrum; stability follows from it."""
+    """Largest real part alpha of a drift spectrum and the slowest decay rate
+    resolved at its scale, floor = eps max|A| / RESOLUTION_RTOL; ``a`` is
+    the drift, read only by a refusal."""
 
     max_real_part: float
+    floor: float
+    a: np.ndarray = field(repr=False, compare=False)
 
     @property
     def stable(self) -> bool:
-        return self.max_real_part < -STABILITY_EPS
+        return self.max_real_part < -self.floor
 
     def require(self) -> None:
-        """Raise UnstableSystemError unless the drift is stable."""
-        if not self.stable:
-            raise UnstableSystemError(
-                f"no steady state: largest drift eigenvalue real part is "
-                f"{self.max_real_part:.6e}"
-            )
+        """Raise unless stable: a plain ArithmeticError if A + A^T is exactly
+        diagonal and negative, as for every build_drift output, so that a
+        steady state exists (Re lambda <= max of the diagonal of A), else
+        UnstableSystemError."""
+        if self.stable:
+            return
+        where = (f"largest drift eigenvalue real part {self.max_real_part:.6e} "
+                 f"is not below -{self.floor:.6e} = -eps max|A| / {RESOLUTION_RTOL:g}")
+        a = self.a
+        if np.array_equal(np.triu(a, 1), -np.tril(a, -1).T) and (a.diagonal() < 0.0).all():
+            raise ArithmeticError(
+                f"unresolved steady state: a steady state exists (A + A^T is diagonal "
+                f"and negative), but its slowest decay rate is below what double "
+                f"precision resolves: {where}")
+        raise UnstableSystemError(f"no steady state: {where}")
 
 
 def build_drift(detunings: Detunings, params: SystemParams) -> DriftMatrix:
@@ -306,8 +321,8 @@ def _diffusions(points) -> np.ndarray:
 
 
 def stability_check(a: DriftMatrix | np.ndarray) -> StabilityReport:
-    """Asymptotic stability of the drift: every eigenvalue real part must
-    lie below -STABILITY_EPS.
+    """Stability of the drift by one unit-free rule: every eigenvalue real
+    part must lie below -eps max|A| / RESOLUTION_RTOL (StabilityReport).
 
     The spectrum is the eigenvalues of the drift's real Schur form
     (DriftMatrix.schur, LAPACK dgees), computed once per DriftMatrix; the

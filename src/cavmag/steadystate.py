@@ -148,11 +148,12 @@ def _lyapunov_backend(solve):
     A V + V A^T = -D, checked in this order before any LAPACK call: an A
     that is not 6x6 or has a non-finite entry raises
     numpy.linalg.LinAlgError, a D that is not 6x6 or has a non-finite entry
-    ValueError, and an unstable A UnstableSystemError.  The symmetrized V
-    must then meet max|A V + V A^T + D| <= 1e-10 max|D| (a NaN residual
-    fails) or ArithmeticError is raised, and have a positive diagonal or
-    ValueError is; such a V is finite and exactly symmetric, so it is
-    stored as it is (_hold).  A DriftMatrix or DiffusionMatrix already
+    ValueError, and an A that stability_check refuses the error of
+    StabilityReport.require.  The symmetrized V must then meet
+    max|A V + V A^T + D| <= 1e-10 max|D| (a NaN residual fails) or
+    ArithmeticError is raised, and have a positive diagonal or ValueError
+    is; such a V is finite and exactly symmetric, so it is stored as it
+    is (_hold).  A DriftMatrix or DiffusionMatrix already
     meets its part of the contract and is not checked again.  The raw
     solve gets A as a DriftMatrix, whose Schur factor the stability test
     has just computed.

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import config
 from .config import fixed_from_values
-from .dynamics import (DiffusionMatrix, UnstableSystemError, _diffusions, _hold,
-                       build_diffusion, build_drift, stability_check)
+from .dynamics import (DiffusionMatrix, _diffusions, _hold, build_diffusion, build_drift,
+                       stability_check)
 from .measures import DUAN_BOUND, MANCINI_BOUND, POINT_QUANTITIES, quantities
 from .model import (
     DriveParams,
@@ -150,19 +150,13 @@ class SweepSpec:
 
 @dataclass(frozen=True, slots=True)
 class GridRow:
-    """One grid point: axis values and output values.
-
-    values is None when the point is unstable; stable rows carry one float
-    per requested output, in spec order.
-    """
+    """One grid point: its axis values and one value per output, in spec order."""
 
     axis1_value: float
     axis2_value: float | None
-    values: tuple[float, ...] | None
+    values: tuple[float, ...]
 
-    @property
-    def stable(self) -> bool:
-        return self.values is not None
+    stable = True  # every point has a steady state; perfbench/workloads.py reads it
 
 
 @dataclass(frozen=True)
@@ -170,13 +164,13 @@ class SweepResult:
     spec: SweepSpec
     rows: tuple[GridRow, ...]
 
-    def column(self, name: str) -> list[float | None]:
-        """Values of one output across all rows (None on unstable rows)."""
+    def column(self, name: str) -> list[float]:
+        """Values of one output across all rows."""
         if name not in self.spec.outputs:
             raise ValueError(f"unknown output {name!r}; this sweep's outputs: "
                              f"{', '.join(self.spec.outputs)}")
         index = self.spec.outputs.index(name)
-        return [row.values[index] if row.stable else None for row in self.rows]
+        return [row.values[index] for row in self.rows]
 
 
 def _check_range(axis, rng):
@@ -196,10 +190,8 @@ def _check_range(axis, rng):
 
 
 def steady_state(point: FixedPoint):
-    """Drift, diffusion and steady-state covariance at one operating point.
-
-    Raises UnstableSystemError when the drift has no steady state.
-    """
+    """Drift, diffusion and steady-state covariance at one operating point;
+    ArithmeticError where double precision does not resolve the steady state."""
     drift = _stable_drift(point)
     env = Environment.from_temperature(point.temperature, point.params)
     diffusion = build_diffusion(point.params, point.drive, env)
@@ -225,7 +217,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     line before the next (_line_values):
 
     - drift: each point builds its drift and checks its stability, as
-      steady_state does (_stable_drift), and an unstable point raises.
+      steady_state does (_stable_drift), and a refused drift raises.
       Where every point of the line has the first point's SystemParams,
       the drift's only input, this is done once.
     - noise: dynamics._diffusions builds D at the line's points as
@@ -238,11 +230,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
       screen raises for the line if a point fails solve_lyapunov's check.
     - measures: one measures.quantities call for the line's points.
 
-    A line that raises, at an unstable point too, is evaluated again by
-    the per-point pipeline it reproduces (axis.apply, steady_state,
-    quantities), the one source of unstable rows: a point without a
-    steady state gives an unstable row, the first point that raises
-    otherwise propagates, its message prefixed by its coordinates.  Both
+    A line that raises is evaluated again by the per-point pipeline it
+    reproduces (axis.apply, steady_state, quantities): the first point
+    that raises propagates, its message prefixed by its coordinates.  Both
     paths warn from the one place in dynamics._diffusion_stack, so a
     warning the line has shown is not shown again.
     """
@@ -282,14 +272,11 @@ def _named(exc: Exception, coordinates) -> Exception:
 
 
 def _point_values(axis, base, value, outputs, coordinates):
-    """The output tuple of the point ``axis.apply(base, value)`` by the
-    per-point pipeline, None if it is unstable; any other exception is
-    named by the point's (axis, value) coordinates."""
+    """The output tuple of the point ``axis.apply(base, value)`` by the per-point
+    pipeline; an exception is named by the point's (axis, value) coordinates."""
     try:
         cm = steady_state(axis.apply(base, value))[2]
         columns = quantities(cm.v, outputs)
-    except UnstableSystemError:
-        return None
     except Exception as exc:
         raise _named(exc, coordinates)
     return tuple(columns[name][0] for name in outputs)
@@ -297,7 +284,7 @@ def _point_values(axis, base, value, outputs, coordinates):
 
 def _line_values(points, outputs) -> list:
     """Output tuples of a line's points from the four stages of run_sweep;
-    whatever a stage raises (UnstableSystemError too) propagates unnamed."""
+    whatever a stage raises propagates unnamed."""
     # SystemParams is the only input of build_drift.
     one_drift = all(point.params == points[0].params for point in points)
     drifts = [_stable_drift(point) for point in (points[:1] if one_drift else points)]
@@ -312,7 +299,7 @@ def _line_values(points, outputs) -> list:
 
 
 def _stable_drift(point):
-    """The drift at one point; UnstableSystemError without a steady state."""
+    """The drift at one point, refused as StabilityReport.require refuses it."""
     params = point.params
     drift = build_drift(detunings_from(params), params)
     stability_check(drift).require()
@@ -471,8 +458,8 @@ def _fmt(x: float) -> str:
 
 def format_csv(result: SweepResult) -> str:
     """Render a sweep as CSV: axis columns, one column per output, then the
-    stability flag.  17 significant digits, '.' decimal separator, unix
-    line endings; unstable rows leave the quantity cells empty."""
+    stability flag, kept for format stability ('stable' on every row).
+    17 significant digits, '.' decimal separator, unix line endings."""
     spec = result.spec
     header = [_AXES[axis].column for axis in (spec.axis1, spec.axis2) if axis is not None]
     header += list(spec.outputs) + ["stability"]
@@ -481,10 +468,7 @@ def format_csv(result: SweepResult) -> str:
         cells = [_fmt(row.axis1_value)]
         if spec.axis2 is not None:
             cells.append(_fmt(row.axis2_value))
-        if row.stable:
-            cells += [_fmt(x) for x in row.values] + ["stable"]
-        else:
-            cells += [""] * len(spec.outputs) + ["unstable"]
+        cells += [_fmt(x) for x in row.values] + ["stable"]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

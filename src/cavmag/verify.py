@@ -124,8 +124,7 @@ def check_resonance_optimality() -> CriterionResult:
     detuning."""
     result = _preset_sweep("fig2b")
     rows = result.rows
-    column = result.column("log_negativity")
-    values = np.array([v if v is not None else -np.inf for v in column])
+    values = np.array(result.column("log_negativity"))
     best = int(values.argmax())
     expected = min(range(len(rows)), key=lambda i: (abs(rows[i].axis1_value),
                                                     abs(rows[i].axis2_value)))
@@ -152,7 +151,7 @@ def check_temperature_robustness() -> CriterionResult:
     """Entanglement survives up to 0.5 K and never increases with T."""
     result = _preset_sweep("fig3")
     values = result.column("log_negativity")
-    all_positive = all(v is not None and v > 0.0 for v in values)
+    all_positive = all(v > 0.0 for v in values)
     non_increasing = all(
         values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1)
     )

@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from cavmag import config
-from cavmag.dynamics import UnstableSystemError
 from cavmag.sweep import (GridRow, SweepResult, axis_values, get_axis, point_quantities,
                           steady_state)
 
@@ -49,21 +48,15 @@ def rotation(*phis):
 
 def per_point_sweep(spec):
     """``run_sweep(spec)`` evaluated point by point: ``steady_state`` and
-    ``point_quantities`` at every grid point, axis1-major, an unstable
-    point giving an unstable row.  The reference for the line-at-a-time
-    evaluation of ``run_sweep``."""
+    ``point_quantities`` at every grid point, axis1-major.  The reference
+    for the line-at-a-time evaluation of ``run_sweep``."""
     axis1, axis2 = get_axis(spec.axis1), spec.axis2 and get_axis(spec.axis2)
     rows = []
     for v1 in axis_values(spec.range1):
         base = axis1.apply(spec.fixed, v1)
         for v2 in axis_values(spec.range2) if axis2 else [None]:
             point = axis2.apply(base, v2) if axis2 else base
-            try:
-                _, _, cm = steady_state(point)
-            except UnstableSystemError:
-                rows.append(GridRow(v1, v2, None))
-                continue
-            quantities = point_quantities(cm)
+            quantities = point_quantities(steady_state(point)[2])
             rows.append(GridRow(v1, v2, tuple(quantities[n] for n in spec.outputs)))
     return SweepResult(spec=spec, rows=tuple(rows))
 

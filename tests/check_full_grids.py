@@ -1,11 +1,12 @@
-"""Every preset, at 101 points per axis, against the point-by-point
-pipeline (``_systems.per_point_sweep``): the CSV text must be
-byte-identical, and ``run_sweep`` must evaluate every line by its line
-stages.  A line that raises is evaluated again through
+"""Every preset, at 101 points per axis, and the fig2b grid with both
+magnon linewidths at 1e-3 Hz (a slowest decay rate of 1e-9 in internal
+units), against the point-by-point pipeline (``_systems.per_point_sweep``):
+the CSV text must be byte-identical, and ``run_sweep`` must evaluate every
+line by its line stages.  A line that raises is evaluated again through
 ``sweep.steady_state``, which gives the same CSV, so the number of points
 ``run_sweep`` sends through it is counted too and must be 0.  Prints both
-counts per preset and exits 1 if any is not 0.  Too slow for the test
-suite (about 35 s on 2 cores); run it as
+counts per grid and exits 1 if any is not 0.  Too slow for the test
+suite (about 40 s on 2 cores); run it as
 
     PYTHONPATH=src python tests/check_full_grids.py
 """
@@ -32,10 +33,15 @@ def _counted_run_sweep(spec):
         cavmag.sweep.steady_state = real
 
 
+# Grid name -> spec: every preset at its defaults, and the slow-magnon grid.
+GRIDS = {name: preset(name) for name in PRESET_NAMES}
+GRIDS["fig2b kappa_m=1e-3 Hz"] = preset(
+    "fig2b", overrides={"kappa_m1_hz": 1e-3, "kappa_m2_hz": 1e-3})
+
+
 def main() -> int:
     failed = 0
-    for name in PRESET_NAMES:
-        spec = preset(name)
+    for name, spec in GRIDS.items():
         result, per_point = _counted_run_sweep(spec)
         result, reference = format_csv(result), format_csv(per_point_sweep(spec))
         differing = [(lineno, line, ref) for lineno, (line, ref) in

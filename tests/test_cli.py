@@ -9,7 +9,7 @@ import cavmag.steadystate
 import cavmag.sweep
 import cavmag.verify
 from cavmag.cli import main
-from cavmag.dynamics import StabilityReport, UnstableSystemError
+from cavmag.dynamics import UnstableSystemError
 from cavmag.verify import CriterionResult, VerificationReport
 
 
@@ -267,18 +267,49 @@ def test_point_numerical_failure_exit_code(monkeypatch, capsys):
     assert "numerical failure" in _failure(capsys, 2, "point")
 
 
-def test_point_unstable_drift_exits_2(monkeypatch, capsys):
-    calls = []
+_UNRESOLVED = ("numerical failure: {where}unresolved steady state: a steady state exists "
+               "(A + A^T is diagonal and negative), but its slowest decay rate is below "
+               "what double precision resolves: largest drift eigenvalue real part ")
 
-    def unstable(drift):
-        calls.append(drift)
-        return StabilityReport(max_real_part=0.5)
 
-    monkeypatch.setattr(cavmag.sweep, "stability_check", unstable)
-    err = _failure(capsys, 2, "point")
-    assert len(calls) == 1  # the unstable point is evaluated once
-    assert err == ("numerical failure: no steady state: largest drift "
-                   "eigenvalue real part is 5.000000e-01\n")
+def test_magnon_damping_from_micro_to_giga_hertz_never_reads_unstable(capsys):
+    # Every model drift has a steady state: each run prints values or
+    # names the resolution refusal, which only kappa_m1 = kappa_m2 = 1e-6 Hz
+    # meets (slowest decay rate 1e-12 against a floor of 4.4e-12).
+    for kappa in ("1e-6", "1e-4", "1e-3", "1", "1e3", "1e6", "1e9"):
+        for keys in (["kappa_m1_hz"], ["kappa_m2_hz"], ["kappa_m1_hz", "kappa_m2_hz"]):
+            settings = [arg for key in keys for arg in ("--set", f"{key}={kappa}")]
+            refused = kappa == "1e-6" and len(keys) == 2
+            for args, where in ((["point"], ""),
+                                (["sweep", "--preset", "fig3", "--points", "3"],
+                                 "temperature_k = 0: ")):
+                assert main(args + settings) == (2 if refused else 0), (args, settings)
+                out, err = capsys.readouterr()
+                assert "unstable" not in out + err
+                assert err.startswith(_UNRESOLVED.format(where=where)) if refused else not err
+
+
+@pytest.mark.parametrize("setting", ["g1_hz=1e300", "kappa_m1_hz=1e300"])
+def test_point_beyond_double_precision_names_the_resolution(capsys, setting):
+    err = _failure(capsys, 2, "point", "--set", setting, "--set", "temperature_k=1")
+    assert err.startswith(_UNRESOLVED.format(where=""))
+
+
+def test_point_with_one_undamped_magnon_is_unchanged(capsys):
+    # kappa_m1 = 1e-9 Hz: the dark mode decays through kappa_m2, so the
+    # slowest decay rate stays near 0.5 and the point solves as it always has.
+    assert main(["point", "--set", "kappa_m1_hz=1e-9"]) == 0
+    assert capsys.readouterr().out == (
+        "stability = stable\n"
+        "log_negativity = 1.0193041975462387\n"
+        "nu_minus = 0.18042296516346046\n"
+        "duan_sum = 0.64588143803628473\n"
+        "mancini_product = 0.032573294898890062\n"
+        "var_x1 = 0.27507683376140174\n"
+        "var_Mx = 0.055139649003355606\n"
+        "var_my = 0.59074178903292918\n"
+        "squeezing_db_x1 = 2.5951598753132914\n"
+        "squeezing_db_Mx = 9.5750600710001432\n")
 
 
 @pytest.mark.parametrize("r", ["355", "400", "800"])

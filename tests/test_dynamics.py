@@ -8,9 +8,9 @@ from scipy.linalg import lapack
 
 from _systems import rotation
 from cavmag import dynamics
-from cavmag.config import default_params
+from cavmag.config import default_params, fixed_from_values, merge
 from cavmag.dynamics import (
-    STABILITY_EPS,
+    RESOLUTION_RTOL,
     DiffusionMatrix,
     DriftMatrix,
     StabilityReport,
@@ -29,7 +29,8 @@ from cavmag.model import (
     SystemParams,
     detunings_from,
 )
-from cavmag.steadystate import CovarianceMatrix, TwoModeCM, solve_lyapunov
+from cavmag.steadystate import (CovarianceMatrix, TwoModeCM, solve_lyapunov,
+                                solve_lyapunov_kron)
 
 
 def _random_params(rng):
@@ -268,21 +269,85 @@ def test_matrix_types_compare_and_hash_by_identity(make):
 
 
 def test_stability_report_holds_only_the_largest_real_part():
-    assert [f.name for f in fields(StabilityReport)] == ["max_real_part"]
-    below = math.nextafter(-STABILITY_EPS, -math.inf)
-    for max_real, stable in ((below, True), (-1.0, True), (-STABILITY_EPS, False),
-                             (-0.5 * STABILITY_EPS, False), (0.0, False), (5.0, False),
+    # Besides the largest real part, the report holds only what the rule and a
+    # refusal read: the floor and the drift.
+    assert [f.name for f in fields(StabilityReport)] == ["max_real_part", "floor", "a"]
+    floor = 2.0 ** -40
+    below = math.nextafter(-floor, -math.inf)
+    for max_real, stable in ((below, True), (-1.0, True), (-floor, False),
+                             (-0.5 * floor, False), (0.0, False), (5.0, False),
                              (math.nan, False)):
-        assert StabilityReport(max_real_part=max_real).stable is stable, max_real
+        assert StabilityReport(max_real, floor, np.eye(6)).stable is stable, max_real
+
+
+def _edge_drift(alpha, scale=1.0):
+    """scale times an upper-triangular drift, so A + A^T is not diagonal,
+    with max|A| = 1 and alpha its largest eigenvalue real part, which
+    dgees returns exactly."""
+    a = np.diag([alpha, -1.0, -1.0, -1.0, -1.0, -1.0])
+    a[0, 1] = 1.0
+    return scale * a
+
+
+_FLOOR = np.finfo(float).eps / RESOLUTION_RTOL  # of a drift with max|A| = 1
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -30, 1.0, 2.0 ** 30])
+def test_stability_floor_is_relative_to_the_drift(scale):
+    # The verdict at the floor's edge is the same in any unit of frequency.
+    above, below = math.nextafter(-_FLOOR, 0.0), math.nextafter(-_FLOOR, -math.inf)
+    for alpha, stable in ((above, False), (-_FLOOR, False), (below, True)):
+        report = stability_check(_edge_drift(alpha, scale))
+        assert (report.max_real_part, report.floor) == (alpha * scale, _FLOOR * scale)
+        assert report.stable is stable, alpha
+
+
+@pytest.mark.parametrize("solver", [solve_lyapunov, solve_lyapunov_kron])
+def test_drift_just_above_the_floor_has_no_steady_state(solver):
+    a = _edge_drift(math.nextafter(-_FLOOR, 0.0))
+    with pytest.raises(UnstableSystemError, match="^no steady state: "):
+        stability_check(a).require()
+    with pytest.raises(UnstableSystemError, match="^no steady state: "):
+        solver(a, np.eye(6))
+
+
+def test_model_drift_beyond_resolution_is_refused_but_not_unstable():
+    # g1 = 1e300 Hz: a damped drift whose spectrum double precision cannot
+    # separate from zero at its scale.
+    params = fixed_from_values(merge({"g1_hz": 1e300})).params
+    drift = build_drift(detunings_from(params), params)
+    with pytest.raises(ArithmeticError, match="^unresolved steady state: ") as info:
+        stability_check(drift).require()
+    assert not isinstance(info.value, UnstableSystemError)
+    with pytest.raises(ArithmeticError, match="^unresolved steady state: ") as info:
+        solve_lyapunov(drift, np.eye(6))
+    assert not isinstance(info.value, UnstableSystemError)
 
 
 def test_stability_report_require():
-    assert StabilityReport(max_real_part=-1.0).require() is None
-    for max_real, text in ((0.5, "5.000000e-01"), (-STABILITY_EPS, "-1.000000e-09")):
-        with pytest.raises(UnstableSystemError) as info:
-            StabilityReport(max_real_part=max_real).require()
-        assert str(info.value) == ("no steady state: largest drift eigenvalue real "
-                                   f"part is {text}")
+    # A damped drift (A + A^T diagonal and negative) has a steady state, so
+    # its refusal is not UnstableSystemError; any other drift's is.
+    damped = np.diag([-1.0, -1.0, -2.0, -2.0, -3.0, -3.0])
+    damped[0, 3], damped[3, 0] = 4.0, -4.0
+    not_antisymmetric = damped.copy()
+    not_antisymmetric[3, 0] = math.nextafter(-4.0, 0.0)
+    not_damped = damped.copy()
+    not_damped[5, 5] = 0.0
+    assert StabilityReport(-1.0, 1e-13, not_damped).require() is None
+    for max_real, text in ((0.5, "5.000000e-01"), (-1e-13, "-1.000000e-13")):
+        where = (f"largest drift eigenvalue real part {text} is not below "
+                 f"-1.000000e-13 = -eps max|A| / 0.001")
+        with pytest.raises(ArithmeticError) as info:
+            StabilityReport(max_real, 1e-13, damped).require()
+        assert type(info.value) is ArithmeticError
+        assert str(info.value) == (
+            "unresolved steady state: a steady state exists (A + A^T is diagonal and "
+            "negative), but its slowest decay rate is below what double precision "
+            f"resolves: {where}")
+        for a in (not_antisymmetric, not_damped):
+            with pytest.raises(UnstableSystemError) as info:
+                StabilityReport(max_real, 1e-13, a).require()
+            assert str(info.value) == f"no steady state: {where}"
 
 
 def test_unstable_system_error_is_an_arithmetic_error():

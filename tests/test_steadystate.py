@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from _systems import V_X1_REFERENCE, random_stable_systems, reference_system, rotation
+from _systems import (V_X1_REFERENCE, random_stable_systems, reference_point,
+                      reference_system, rotation)
 from cavmag.config import DEFAULTS
-from cavmag.dynamics import DriftMatrix, UnstableSystemError, build_diffusion, build_drift
+from cavmag.dynamics import (RESOLUTION_RTOL, DriftMatrix, UnstableSystemError,
+                             build_diffusion, build_drift, stability_check)
 from cavmag.model import (
     DriveParams,
     Environment,
@@ -23,6 +25,7 @@ from cavmag.steadystate import (
     symplectic_eigenvalues,
     symplectic_form,
 )
+from cavmag.sweep import point_quantities, steady_state
 
 SOLVERS = (solve_lyapunov, solve_lyapunov_kron)
 
@@ -94,6 +97,32 @@ def test_residual_bound(solver):
     v = solver(drift, diffusion).v
     residual = np.abs(drift.a @ v + v @ drift.a.T + diffusion.d).max()
     assert residual < 1e-10 * np.abs(diffusion.d).max()
+
+
+def _resonant_entanglement(kappa_m_hz, r):
+    """E at resonance with g1 = g2, kappa_m1 = kappa_m2 = kappa_m_hz and
+    T = 0, and the stability report of its drift."""
+    drift, _, cm = steady_state(reference_point(kappa_m1_hz=kappa_m_hz, kappa_m2_hz=kappa_m_hz,
+                                                r=r, temperature_k=0.0))
+    return point_quantities(cm)["log_negativity"], stability_check(drift)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_entanglement_tends_to_r_as_the_magnon_damping_vanishes(r):
+    # The bright magnon mode takes on the input squeezing and the dark mode
+    # stays in vacuum; their 50:50 split gives nu_minus = e^(-r)/2, so E
+    # tends to r from below.
+    e, _ = _resonant_entanglement(1.0, r)
+    assert abs(e - r) <= 1e-5
+
+
+def test_a_slow_steady_state_is_solved_to_its_resolution_bound():
+    # At 1e-4 Hz the slowest decay rate is 1e-10 (internal units), above
+    # the floor, and the error of E stays within eps max|A| / |alpha|.
+    e, report = _resonant_entanglement(1e-4, 2.0)
+    assert report.stable
+    bound = report.floor * RESOLUTION_RTOL / -report.max_real_part
+    assert abs(e - 2.0) <= bound < RESOLUTION_RTOL
 
 
 @pytest.mark.parametrize("solver", SOLVERS)

@@ -25,7 +25,6 @@ from cavmag.sweep import (
     steady_state,
     with_range,
 )
-from cavmag.dynamics import StabilityReport
 
 
 def test_spec_validation():
@@ -85,8 +84,9 @@ def test_spec_validation():
 
 
 def test_grid_row_stability_follows_its_values():
+    # Every grid point has a steady state, so every row has its values and
+    # is stable.
     assert [f.name for f in fields(GridRow)] == ["axis1_value", "axis2_value", "values"]
-    assert GridRow(0.0, None, None).stable is False
     assert GridRow(0.0, 1.0, (0.5,)).stable is True
 
 
@@ -472,68 +472,6 @@ def test_csv_format_and_determinism():
     assert cells[2] == "stable"
 
 
-def _unstable_every(monkeypatch, period):
-    """Make every period-th grid point's stability test report unstable."""
-    calls = []
-
-    def fake_stability_check(drift):
-        calls.append(drift)
-        if len(calls) % period == 0:
-            return StabilityReport(max_real_part=1.0)
-        return StabilityReport(max_real_part=-1.0)
-
-    monkeypatch.setattr(sweep_mod, "stability_check", fake_stability_check)
-    return calls
-
-
-def test_csv_unstable_rows_have_empty_cells(monkeypatch):
-    _unstable_every(monkeypatch, 2)
-    spec = SweepSpec(axis1="delta_a", range1=(0.0, 1e6, 4), fixed=reference_point(),
-                     outputs=("log_negativity", "duan_sum"))
-    text = format_csv(run_sweep(spec))
-    lines = text.strip().split("\n")
-    assert lines[2].endswith(",,,unstable")
-    assert lines[1].endswith(",stable")
-    unstable_rows = [line for line in lines[1:] if line.endswith("unstable")]
-    assert len(unstable_rows) == 2
-
-
-def test_all_points_unstable_still_completes(monkeypatch):
-    # The line stops at its first unstable point (one check); the
-    # per-point pipeline then checks each of the three points.
-    calls = _unstable_every(monkeypatch, 1)
-    spec = SweepSpec(axis1="delta_a", range1=(0.0, 1e6, 3), fixed=reference_point(),
-                     outputs=("log_negativity",))
-    result = run_sweep(spec)
-    assert len(calls) == 1 + 3
-    assert len(result.rows) == 3
-    assert all(not row.stable and row.values is None for row in result.rows)
-
-
-def test_unstable_fixed_drift_gives_unstable_rows_after_one_check(monkeypatch):
-    # The line checks its one drift once and raises; the per-point
-    # pipeline then checks each of the five points, and no D is built.
-    calls = _unstable_every(monkeypatch, 1)
-    diffusions = _spy_noise_rows(monkeypatch)
-    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 5), fixed=reference_point(),
-                     outputs=("log_negativity",))
-    result = run_sweep(spec)
-    assert len(calls) == 1 + 5 and not diffusions
-    assert [row.values for row in result.rows] == [None] * 5
-
-
-def test_unstable_detuning_point_builds_no_diffusion(monkeypatch):
-    _unstable_every(monkeypatch, 2)
-    diffusions = _spy_noise_rows(monkeypatch)
-    spec = SweepSpec(axis1="delta_a", range1=(0.0, 1e6, 4), fixed=reference_point(),
-                     outputs=("log_negativity",))
-    result = run_sweep(spec)
-    assert [row.stable for row in result.rows] == [True, False, True, False]
-    detune = sweep_mod.get_axis("delta_a").apply
-    assert [row[0] for row in diffusions] == [
-        detune(spec.fixed, row.axis1_value).params for row in result.rows[::2]]
-
-
 @pytest.mark.parametrize("spec, blocks", [
     (preset("fig2b", 5), 5),  # one cavity block per detuning line
     (SweepSpec(axis1="theta", range1=(0.0, 1.0, 4), fixed=reference_point(),
@@ -605,8 +543,7 @@ def test_detuning_grid_is_symmetric_under_sign_flip():
 
 def test_resonance_is_grid_maximum_small_grid():
     result = run_sweep(preset("fig2b", points=9))
-    column = result.column("log_negativity")
-    values = np.array([v if v is not None else -np.inf for v in column])
+    values = np.array(result.column("log_negativity"))
     assert values.argmax() == (9 // 2) * 9 + 9 // 2
 
 
@@ -628,11 +565,11 @@ def test_format_csv_round_trip_manual_rows():
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), fixed=reference_point(),
                      outputs=("var_x1",))
     rows = (GridRow(0.0, None, (0.123456789012345678,)),
-            GridRow(1.0, None, None))
+            GridRow(1.0, None, (0.25,)))
     text = format_csv(SweepResult(spec=spec, rows=rows))
     assert text == ("r,var_x1,stability\n"
                     "0,0.12345678901234568,stable\n"
-                    "1,,unstable\n")
+                    "1,0.25,stable\n")
 
 
 def test_sweep_outputs_are_the_point_quantities():
@@ -692,7 +629,7 @@ def test_fixed_drift_line_builds_and_solves_once(monkeypatch, points):
     per_point = _spy(monkeypatch, "solve_lyapunov")
     spec = SweepSpec(axis1="temperature", range1=(0.0, 0.5, points),
                      fixed=reference_point(), outputs=("log_negativity",))
-    assert all(row.stable for row in run_sweep(spec).rows)
+    run_sweep(spec)
     # One drift, one check and one Schur factor; one solve per point.
     counts = (len(drifts), len(checks), len(factors), len(solves), len(per_point))
     assert counts == (1, 1, 1, points, 0)
@@ -710,12 +647,19 @@ def test_every_traced_name_resolves():
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
 
 
-@pytest.mark.parametrize("name", sweep_mod.PRESET_NAMES)
-def test_working_lines_never_take_the_per_point_path(monkeypatch, name):
+# The fig2b grid at kappa_m = 1e-3 Hz: a slowest decay rate of 1e-9 in
+# internal units, far above the resolution floor, so every line is batched.
+_SLOW_MAGNONS = {"kappa_m1_hz": 1e-3, "kappa_m2_hz": 1e-3}
+
+
+@pytest.mark.parametrize("name, overrides", [
+    *((name, {}) for name in sweep_mod.PRESET_NAMES), ("fig2b", _SLOW_MAGNONS),
+], ids=[*sweep_mod.PRESET_NAMES, "fig2b-kappa_m=1e-3"])
+def test_working_lines_never_take_the_per_point_path(monkeypatch, name, overrides):
     # A failing line is evaluated again by steady_state; a line evaluator
     # that always raised would still give the per-point rows, only slower.
     calls = _spy(monkeypatch, "steady_state")
-    run_sweep(preset(name, 7))
+    run_sweep(preset(name, 7, overrides=overrides))
     assert not calls
 
 

@@ -3,10 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import cavmag.sweep
 from cavmag import config, verify
 from cavmag.config import fixed_from_values
-from cavmag.dynamics import StabilityReport, UnstableSystemError
 from cavmag.sweep import GridRow, SweepResult, SweepSpec, preset, run_sweep
 
 
@@ -53,7 +51,7 @@ def test_criterion_consistency_flags_chain_violation(monkeypatch, e_value, passe
     spec = SweepSpec(axis1="delta_a", range1=(0.0, 1.0, 2),
                      fixed=preset("fig2b").fixed, outputs=verify._VERIFY_OUTPUTS)
     rows = (GridRow(0.0, None, (e_value, 0.5, 0.3, 0.4)),
-            GridRow(1.0, None, None))
+            GridRow(1.0, None, (e_value, 1.5, 0.3, 0.4)))
     monkeypatch.setattr(verify, "_preset_sweep",
                         lambda name: SweepResult(spec=spec, rows=rows))
     result = verify.check_criterion_consistency()
@@ -84,8 +82,8 @@ def test_grid_checks_read_coordinates_from_rows(monkeypatch):
 
 def test_run_verification_numbers_the_checks_in_order(monkeypatch):
     # 5-point grids stand in for the presets.  The tracer's verify.check_NN
-    # labels, the acceptance test ids and _POINT_CHECKS below all take a
-    # check's number to be its place in ALL_CHECKS.
+    # labels and the acceptance test ids take a check's number to be its
+    # place in ALL_CHECKS.
     monkeypatch.setattr(verify, "preset", lambda name: preset(name, points=5))
     report = verify.run_verification()
     assert [r.number for r in report.results] == list(range(1, 14))
@@ -94,15 +92,3 @@ def test_run_verification_numbers_the_checks_in_order(monkeypatch):
 def test_reference_is_the_default_configuration():
     assert verify._reference() == fixed_from_values(config.merge())
     assert verify._reference(r=1.0) == fixed_from_values(config.merge({"r": 1.0}))
-
-
-# Every check that evaluates an operating point without running a sweep.
-_POINT_CHECKS = [verify.ALL_CHECKS[i - 1] for i in (1, 2, 4, 6, 9, 10, 11, 13)]
-
-
-@pytest.mark.parametrize("check", _POINT_CHECKS, ids=lambda check: check.__name__)
-def test_point_checks_raise_when_unstable(monkeypatch, check):
-    monkeypatch.setattr(cavmag.sweep, "stability_check",
-                        lambda drift: StabilityReport(max_real_part=0.5))
-    with pytest.raises(UnstableSystemError, match="^no steady state"):
-        check()
