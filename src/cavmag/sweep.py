@@ -16,6 +16,8 @@ Axis identifiers, their CSV columns and units (``_AXES`` defines each axis):
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -150,7 +152,8 @@ class SweepSpec:
 
 @dataclass(frozen=True, slots=True)
 class GridRow:
-    """One grid point: its axis values and one value per output, in spec order."""
+    """One grid point: its axis values and one value per output, in spec
+    order (SweepResult.rows)."""
 
     axis1_value: float
     axis2_value: float | None
@@ -159,18 +162,51 @@ class GridRow:
     stable = True  # every point has a steady state; perfbench/workloads.py reads it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    spec: SweepSpec
-    rows: tuple[GridRow, ...]
+    """A sweep's grid as read-only float64 arrays: the grid values of axis1
+    and of axis2 (None in a 1D sweep), and ``values``, one row per grid
+    point, axis1-major, with one column per output in ``spec.outputs``
+    order.  The constructor copies its arrays and checks their shapes.
+    Like the matrix types, a result equals only itself.
+    """
 
-    def column(self, name: str) -> list[float]:
-        """Values of one output across all rows."""
+    spec: SweepSpec
+    axis1: np.ndarray
+    axis2: np.ndarray | None
+    values: np.ndarray
+
+    def __post_init__(self):
+        for name in ("axis1", "axis2", "values"):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = np.array(arr, dtype=np.float64)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
+        if (self.axis2 is None) != (self.spec.axis2 is None):
+            raise ValueError("axis2 values are given exactly when the spec has an axis2")
+        axes = (self.axis1,) if self.axis2 is None else (self.axis1, self.axis2)
+        points = math.prod(axis.size for axis in axes)
+        if any(axis.ndim != 1 for axis in axes) or self.values.shape != (
+                points, len(self.spec.outputs)):
+            raise ValueError(f"values must be one row of {len(self.spec.outputs)} outputs "
+                             f"per grid point, got shape {self.values.shape}")
+
+    def column(self, name: str) -> np.ndarray:
+        """Values of one output at every grid point, axis1-major (a view)."""
         if name not in self.spec.outputs:
             raise ValueError(f"unknown output {name!r}; this sweep's outputs: "
                              f"{', '.join(self.spec.outputs)}")
-        index = self.spec.outputs.index(name)
-        return [row.values[index] for row in self.rows]
+        return self.values[:, self.spec.outputs.index(name)]
+
+    @functools.cached_property
+    def rows(self) -> tuple[GridRow, ...]:
+        """One GridRow per grid point, axis1-major, built from the arrays
+        the first time it is read."""
+        axis2 = [None] if self.axis2 is None else self.axis2.tolist()
+        points = itertools.product(self.axis1.tolist(), axis2)
+        return tuple(GridRow(v1, v2, tuple(row))
+                     for (v1, v2), row in zip(points, self.values.tolist()))
 
 
 def _check_range(axis, rng):
@@ -235,31 +271,34 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     that raises propagates, its message prefixed by its coordinates.  Both
     paths warn from the one place in dynamics._diffusion_stack, so a
     warning the line has shown is not shown again.
+
+    Each line's output rows go into one (points x outputs) float64 block,
+    which the SweepResult holds next to the two axes' grid values.
     """
     axis1, axis2 = _AXES[spec.axis1], _AXES.get(spec.axis2)
-    line_axis = axis2 or axis1
     grid1 = axis_values(spec.range1)
-    rows = []
-    for v1 in grid1 if axis2 else [None]:
+    grid2 = axis_values(spec.range2) if axis2 else None
+    line_axis, line = (axis2, grid2) if axis2 else (axis1, grid1)
+    points = len(grid1) * len(grid2) if axis2 else len(grid1)
+    values = np.empty((points, len(spec.outputs)))
+    for i, v1 in enumerate(grid1 if axis2 else [None]):
         if axis2 is None:
-            base, coordinates = spec.fixed, [(v, None) for v in grid1]
+            base = spec.fixed
         else:
             try:
                 base = axis1.apply(spec.fixed, v1)
             except Exception as exc:
                 raise _named(exc, ((axis1, v1),))
-            coordinates = [(v1, v2) for v2 in axis_values(spec.range2)]
-        line = [c[1] if axis2 else c[0] for c in coordinates]
         try:
-            values = _line_values([line_axis.apply(base, v) for v in line], spec.outputs)
+            line_values = _line_values([line_axis.apply(base, v) for v in line], spec.outputs)
         except Exception:
-            values = None  # evaluated below, so no point error chains to this one
-        if values is None:
-            values = [_point_values(line_axis, base, v, spec.outputs,
-                                    zip((axis1, axis2), c))
-                      for v, c in zip(line, coordinates)]
-        rows += [GridRow(c1, c2, row) for (c1, c2), row in zip(coordinates, values)]
-    return SweepResult(spec=spec, rows=tuple(rows))
+            line_values = None  # evaluated below, so no point error chains to this one
+        if line_values is None:
+            line_values = [_point_values(line_axis, base, v, spec.outputs,
+                                         zip((axis1, axis2), (v1, v) if axis2 else (v, None)))
+                           for v in line]
+        values[i * len(line):(i + 1) * len(line)] = line_values
+    return SweepResult(spec, grid1, grid2, values)
 
 
 def _named(exc: Exception, coordinates) -> Exception:
@@ -282,8 +321,8 @@ def _point_values(axis, base, value, outputs, coordinates):
     return tuple(columns[name][0] for name in outputs)
 
 
-def _line_values(points, outputs) -> list:
-    """Output tuples of a line's points from the four stages of run_sweep;
+def _line_values(points, outputs) -> np.ndarray:
+    """Output rows of a line's points from the four stages of run_sweep;
     whatever a stage raises propagates unnamed."""
     # SystemParams is the only input of build_drift.
     one_drift = all(point.params == points[0].params for point in points)
@@ -295,7 +334,7 @@ def _line_values(points, outputs) -> list:
         v = [solve_lyapunov(drift, _hold(DiffusionMatrix, dk)).v
              for drift, dk in zip(drifts, d)]
     columns = quantities(np.array(v), outputs)
-    return list(zip(*(columns[name] for name in outputs)))
+    return np.column_stack([columns[name] for name in outputs])
 
 
 def _stable_drift(point):
@@ -459,18 +498,38 @@ def _fmt(x: float) -> str:
 def format_csv(result: SweepResult) -> str:
     """Render a sweep as CSV: axis columns, one column per output, then the
     stability flag, kept for format stability ('stable' on every row).
-    17 significant digits, '.' decimal separator, unix line endings."""
+    17 significant digits, '.' decimal separator, unix line endings.
+    The rows are rendered from the result's arrays one grid line at a time."""
     spec = result.spec
-    header = [_AXES[axis].column for axis in (spec.axis1, spec.axis2) if axis is not None]
-    header += list(spec.outputs) + ["stability"]
-    lines = [",".join(header)]
-    for row in result.rows:
-        cells = [_fmt(row.axis1_value)]
-        if spec.axis2 is not None:
-            cells.append(_fmt(row.axis2_value))
-        cells += [_fmt(x) for x in row.values] + ["stable"]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    axes = [_AXES[axis].column for axis in (spec.axis1, spec.axis2) if axis is not None]
+    header = ",".join(axes + list(spec.outputs) + ["stability"])
+    row = ",".join(["%.17g"] * (len(axes) + len(spec.outputs))) + ",stable"
+    if result.axis2 is None:
+        lines = [((), result.axis1.tolist(), result.values)]
+    else:
+        n, axis2 = result.axis2.size, result.axis2.tolist()
+        lines = (((v1,), axis2, result.values[i * n:(i + 1) * n])
+                 for i, v1 in enumerate(result.axis1.tolist()))
+    text = [header]
+    for prefix, along, block in lines:
+        text.append("\n".join([row % (*prefix, v, *cells)
+                               for v, cells in zip(along, block.tolist())]))
+    return "\n".join(text) + "\n"
+
+
+# Characters of CSV text that check_certification_chain splits into lines at a time.
+_CHAIN_BLOCK = 8192
+
+
+def _lines(text: str):
+    """The lines of text.splitlines(), split from blocks of about
+    _CHAIN_BLOCK characters that each end after a newline: splitlines ends
+    a line there too ('\\r\\n' included), so the lines are the same."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHAIN_BLOCK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def check_certification_chain(csv_text: str) -> list[str]:
@@ -481,10 +540,11 @@ def check_certification_chain(csv_text: str) -> list[str]:
     Text without a header line or a log_negativity column has none; a
     header with log_negativity but no stability column, a row whose cell
     count is not the header's and a stable row with a criterion cell that
-    is not a number raise ValueError.
+    is not a number raise ValueError.  The text is read a block of lines
+    at a time, so no list of all its lines is built.
     """
-    lines = csv_text.splitlines()
-    header = lines[0].split(",") if lines else []
+    lines = _lines(csv_text)
+    header = next(lines, "").split(",")
     if "log_negativity" not in header:
         return []
     if "stability" not in header:
@@ -494,7 +554,7 @@ def check_certification_chain(csv_text: str) -> list[str]:
               for name, bound in (("duan_sum", DUAN_BOUND), ("mancini_product", MANCINI_BOUND))
               if name in header]
     violations = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"certification chain: line {lineno} has {len(cells)} "

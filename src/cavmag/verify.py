@@ -123,11 +123,11 @@ def check_resonance_optimality() -> CriterionResult:
     """On the fig2b grid the entanglement peaks at the point nearest zero
     detuning."""
     result = _preset_sweep("fig2b")
-    rows = result.rows
-    values = np.array(result.column("log_negativity"))
+    values = result.column("log_negativity")
     best = int(values.argmax())
-    expected = min(range(len(rows)), key=lambda i: (abs(rows[i].axis1_value),
-                                                    abs(rows[i].axis2_value)))
+    # Axis1-major: the first smallest |delta_a|, then the first smallest |delta_m|.
+    expected = (int(np.abs(result.axis1).argmin()) * result.axis2.size
+                + int(np.abs(result.axis2).argmin()))
     return _result(
         5, "resonance optimality",
         best == expected,
@@ -151,14 +151,12 @@ def check_temperature_robustness() -> CriterionResult:
     """Entanglement survives up to 0.5 K and never increases with T."""
     result = _preset_sweep("fig3")
     values = result.column("log_negativity")
-    all_positive = all(v > 0.0 for v in values)
-    non_increasing = all(
-        values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1)
-    )
+    all_positive = bool((values > 0.0).all())
+    non_increasing = bool((values[1:] <= values[:-1] + 1e-12).all())
     return _result(
         7, "temperature robustness",
         all_positive and non_increasing,
-        f"E range [{min(values):.6f}, {max(values):.6f}] over T in [0, 0.5] K; "
+        f"E range [{values.min():.6f}, {values.max():.6f}] over T in [0, 0.5] K; "
         f"positive everywhere: {all_positive}, non-increasing: {non_increasing}",
     )
 
@@ -263,10 +261,8 @@ def check_phase_invariance() -> CriterionResult:
                 for theta in (0.0, math.pi / 4, math.pi / 2, math.pi)]
     e_spread = max(e_values) - min(e_values)
     result = _preset_sweep("fig5b")
-    along_theta = {}
-    for row, var_x1 in zip(result.rows, result.column("var_x1")):
-        along_theta.setdefault(row.axis1_value, []).append(var_x1)
-    row_spread = max(max(values) - min(values) for values in along_theta.values())
+    along_theta = result.column("var_x1").reshape(result.axis1.size, -1)
+    row_spread = float(np.ptp(along_theta, axis=1).max())
     return _result(
         12, "phase invariance of E",
         e_spread <= 1e-9 and row_spread > 1e-6,

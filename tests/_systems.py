@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from cavmag import config
-from cavmag.sweep import (GridRow, SweepResult, axis_values, get_axis, point_quantities,
+from cavmag.sweep import (SweepResult, axis_values, get_axis, point_quantities,
                           steady_state)
 
 # Steady-state <dx1^2> at the reference point (r = 2, theta = 0, 20 mK),
@@ -51,14 +51,16 @@ def per_point_sweep(spec):
     ``point_quantities`` at every grid point, axis1-major.  The reference
     for the line-at-a-time evaluation of ``run_sweep``."""
     axis1, axis2 = get_axis(spec.axis1), spec.axis2 and get_axis(spec.axis2)
-    rows = []
-    for v1 in axis_values(spec.range1):
+    grid1 = axis_values(spec.range1)
+    grid2 = axis_values(spec.range2) if axis2 else None
+    values = []
+    for v1 in grid1:
         base = axis1.apply(spec.fixed, v1)
-        for v2 in axis_values(spec.range2) if axis2 else [None]:
+        for v2 in grid2 if axis2 else [None]:
             point = axis2.apply(base, v2) if axis2 else base
             quantities = point_quantities(steady_state(point)[2])
-            rows.append(GridRow(v1, v2, tuple(quantities[n] for n in spec.outputs)))
-    return SweepResult(spec=spec, rows=tuple(rows))
+            values.append([quantities[n] for n in spec.outputs])
+    return SweepResult(spec, grid1, grid2, values)
 
 
 # Presets whose sweep lines fix the drift: r, theta or temperature along

@@ -1,6 +1,8 @@
 import importlib
 import importlib.util
+import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -534,6 +536,25 @@ def test_certification_chain_names_a_malformed_row(row, message):
     assert str(info.value) == f"certification chain: {message}"
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 1 << 13])
+def test_certification_chain_reads_the_lines_splitlines_gives(monkeypatch, block):
+    # The chain splits its text a block at a time; every line break that
+    # splitlines knows, '\r\n' astride a block's end and empty lines
+    # included, must give the same lines, so the same violations, errors
+    # and line numbers as one splitlines call.
+    monkeypatch.setattr(sweep_mod, "_CHAIN_BLOCK", block)
+    header = "delta_a_hz,log_negativity,duan_sum,stability"
+    texts = ["", "\n", "\n\n", "a", "a\r\nb\rc\n\nd\x0be\x0cf\x1cg\x1dh\x1ei\x85j k l",
+             "\r\n\r\n\n\r", "x\r", header + "\r\n0,0,0.5,stable\r\n1,1,0.5,stable\r\n",
+             header + "\n0,0,0.5,stable\n\n1,0,0.5,stable"]
+    for text in texts:
+        assert list(sweep_mod._lines(text)) == text.splitlines(), (block, text)
+    assert check_certification_chain(texts[-2]) == [
+        "line 2: duan_sum = 0.5 < 1 but log_negativity = 0.0"]
+    with pytest.raises(ValueError, match="^certification chain: line 3 has 1 cells "):
+        check_certification_chain(texts[-1])
+
+
 def test_detuning_grid_is_symmetric_under_sign_flip():
     # E is unchanged when both detunings flip sign
     result = run_sweep(preset("fig2b", points=9))
@@ -564,12 +585,88 @@ def test_column_of_a_missing_output_names_the_sweeps_outputs():
 def test_format_csv_round_trip_manual_rows():
     spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), fixed=reference_point(),
                      outputs=("var_x1",))
-    rows = (GridRow(0.0, None, (0.123456789012345678,)),
-            GridRow(1.0, None, (0.25,)))
-    text = format_csv(SweepResult(spec=spec, rows=rows))
+    text = format_csv(SweepResult(spec, [0.0, 1.0], None, [[0.123456789012345678], [0.25]]))
     assert text == ("r,var_x1,stability\n"
                     "0,0.12345678901234568,stable\n"
                     "1,0.25,stable\n")
+
+
+# Values whose 17-digit text is easy to get wrong: a signed zero, the
+# smallest subnormal, the largest double, non-terminating binary fractions,
+# and the first integer a double cannot follow by one.
+_EDGE_VALUES = (-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, 2.0 ** 53)
+
+
+@pytest.mark.parametrize("axes", [("temperature",), ("r", "theta")], ids=["1d", "2d"])
+def test_format_csv_renders_the_arrays_byte_for_byte(axes):
+    outputs = ("var_x1", "duan_sum", "log_negativity")
+    grids = [list(_EDGE_VALUES), [-x for x in _EDGE_VALUES[::-1]][:4]][:len(axes)]
+    spec = SweepSpec(axis1=axes[0], range1=(0.0, 1.0, 3), fixed=reference_point(),
+                     outputs=outputs, axis2=axes[1] if len(axes) > 1 else None,
+                     range2=(0.0, 1.0, 3) if len(axes) > 1 else None)
+    points = list(itertools.product(*grids))
+    values = [[_EDGE_VALUES[(k + j) % 6] * (-1) ** (k + j) for j in range(len(outputs))]
+              for k in range(len(points))]
+    result = SweepResult(spec, grids[0], grids[1] if len(axes) > 1 else None, values)
+    # The byte contract, restated cell by cell.
+    header = [sweep_mod.get_axis(axis).column for axis in axes] + list(outputs)
+    expected = [",".join(header + ["stability"])] + [
+        ",".join(format(x, ".17g") for x in point + tuple(row)) + ",stable"
+        for point, row in zip(points, values)]
+    assert format_csv(result) == "\n".join(expected) + "\n"
+    # rows and column() hold the arrays' floats, signed zeros included.
+    def bits(xs):
+        return [float(x).hex() for x in xs]
+
+    coordinates = [(row.axis1_value, row.axis2_value)[:len(axes)] for row in result.rows]
+    assert [bits(xy + row.values) for xy, row in zip(coordinates, result.rows)] == [
+        bits(point + tuple(row)) for point, row in zip(points, values)]
+    assert all(row.axis2_value is None for row in result.rows) == (len(axes) == 1)
+    for j, name in enumerate(outputs):
+        assert bits(result.column(name)) == bits(row[j] for row in values)
+    # The arrays are read-only copies, and a result equals only itself.
+    with pytest.raises(ValueError, match="read-only"):
+        result.values[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        result.column("duan_sum")[0] = 1.0
+    values[0][0] = 7.0
+    assert result.values[0, 0] == _EDGE_VALUES[0]
+    assert result != SweepResult(spec, result.axis1, result.axis2, result.values)
+
+
+def test_sweep_result_checks_its_shapes():
+    spec = preset("fig3", 3)
+    with pytest.raises(ValueError, match="^values must be one row of 1 outputs per grid "
+                                         r"point, got shape \(3, 2\)$"):
+        SweepResult(spec, [0.0, 0.1, 0.2], None, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="^axis2 values are given exactly when"):
+        SweepResult(spec, [0.0, 0.1, 0.2], [0.0], np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="^axis2 values are given exactly when"):
+        SweepResult(preset("fig5b", 3), [0.0, 0.1, 0.2], None, np.zeros((3, 2)))
+
+
+def test_sweep_keeps_its_numbers_in_arrays():
+    # After a warm-up sweep fills every cache, a 41 x 41 fig2b result keeps
+    # at most 64 B per grid point (3 outputs are 24 B as float64), renders
+    # and post-checks without building its rows, and the certification
+    # pass over its CSV never holds more than the text's size at once.
+    spec = preset("fig2b", 41)
+    check_certification_chain(format_csv(run_sweep(spec)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_sweep(spec)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        text = format_csv(result)
+        tracemalloc.reset_peak()
+        at_text = tracemalloc.get_traced_memory()[0]
+        assert check_certification_chain(text) == []
+        chain_peak = tracemalloc.get_traced_memory()[1] - at_text
+    finally:
+        tracemalloc.stop()
+    assert kept <= 64 * 41 * 41, kept
+    assert chain_peak <= len(text), (chain_peak, len(text))
+    assert "rows" not in vars(result)
 
 
 def test_sweep_outputs_are_the_point_quantities():

@@ -5,7 +5,7 @@ import pytest
 
 from cavmag import config, verify
 from cavmag.config import fixed_from_values
-from cavmag.sweep import GridRow, SweepResult, SweepSpec, preset, run_sweep
+from cavmag.sweep import SweepResult, SweepSpec, axis_values, preset, run_sweep
 
 
 @pytest.fixture
@@ -15,7 +15,10 @@ def sweep_calls(monkeypatch):
 
     def fake_run_sweep(spec):
         calls.append(spec)
-        return SweepResult(spec=spec, rows=())
+        grid2 = axis_values(spec.range2) if spec.axis2 else None
+        points = spec.range1[2] * (spec.range2[2] if spec.axis2 else 1)
+        return SweepResult(spec, axis_values(spec.range1), grid2,
+                           np.zeros((points, len(spec.outputs))))
 
     verify._grid_sweep.cache_clear()
     monkeypatch.setattr(verify, "run_sweep", fake_run_sweep)
@@ -50,19 +53,19 @@ def test_criterion_consistency_flags_chain_violation(monkeypatch, e_value, passe
     # One stable row with duan_sum < 1: it must come with E > 0.
     spec = SweepSpec(axis1="delta_a", range1=(0.0, 1.0, 2),
                      fixed=preset("fig2b").fixed, outputs=verify._VERIFY_OUTPUTS)
-    rows = (GridRow(0.0, None, (e_value, 0.5, 0.3, 0.4)),
-            GridRow(1.0, None, (e_value, 1.5, 0.3, 0.4)))
+    values = [(e_value, 0.5, 0.3, 0.4), (e_value, 1.5, 0.3, 0.4)]
     monkeypatch.setattr(verify, "_preset_sweep",
-                        lambda name: SweepResult(spec=spec, rows=rows))
+                        lambda name: SweepResult(spec, [0.0, 1.0], None, values))
     result = verify.check_criterion_consistency()
     assert result.passed is passed
     assert result.detail.startswith(f"{0 if passed else 3} chain violations")
 
 
-def test_grid_checks_read_coordinates_from_rows(monkeypatch):
+def test_grid_checks_read_coordinates_from_the_axes(monkeypatch):
     # Real 5 x 5 grids; zero detuning sits off the centre of the delta_a
-    # range, so reordering the rows moves it.  Checks 5 and 12 must take
-    # every coordinate from the rows, not from the axis1-major layout.
+    # range, so reordering an axis moves it.  Checks 5 and 12 must take
+    # every coordinate from the axis arrays, not from the grid's centre,
+    # and must not build the rows.
     def small(name, **ranges):
         spec = replace(preset(name, points=5), outputs=verify._VERIFY_OUTPUTS, **ranges)
         return run_sweep(spec)
@@ -73,11 +76,18 @@ def test_grid_checks_read_coordinates_from_rows(monkeypatch):
     in_order = verify.check_phase_invariance()
     assert verify.check_resonance_optimality().passed and in_order.passed
     originals = dict(sweeps)
-    for order in (range(24, -1, -1), np.random.default_rng(3).permutation(25)):
+    rng = np.random.default_rng(3)
+    for order1, order2 in ((range(4, -1, -1), range(4, -1, -1)),
+                           (rng.permutation(5), rng.permutation(5))):
         for name, result in originals.items():
-            sweeps[name] = replace(result, rows=tuple(result.rows[i] for i in order))
+            order1, order2 = np.asarray(order1), np.asarray(order2)
+            block = result.values.reshape(5, 5, -1)[order1][:, order2].reshape(25, -1)
+            sweeps[name] = SweepResult(result.spec, result.axis1[order1],
+                                       result.axis2[order2], block)
         assert verify.check_resonance_optimality().passed
         assert verify.check_phase_invariance() == in_order
+    assert not any("rows" in vars(result) for result in (*originals.values(),
+                                                         *sweeps.values()))
 
 
 def test_run_verification_numbers_the_checks_in_order(monkeypatch):
