@@ -78,8 +78,8 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, float]:
 
 
 def load_config(path) -> dict[str, float]:
-    """Read and parse a configuration file."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read and parse a UTF-8 configuration file (a byte-order mark is skipped)."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:

@@ -135,9 +135,10 @@ POINT_QUANTITIES = ("log_negativity", "nu_minus", "duan_sum", "mancini_product",
 _SQUEEZING_OF = {"squeezing_db_x1": "var_x1", "squeezing_db_Mx": "var_Mx"}
 
 
-def quantities(v, names) -> dict[str, list[float]]:
+def quantities(v, names) -> np.ndarray:
     """The named POINT_QUANTITIES of a steady-state covariance or a stack
-    (..., 6, 6) of them: one list per name, one float per matrix in C order.
+    (..., 6, 6) of them, as one float64 block of shape v.shape[:-2] +
+    (len(names),): one column per name, in ``names`` order.
 
     nu_minus comes from one symplectic_eigenvalues call on the stack, and
     it is computed whatever the names, so an unphysical state always raises.
@@ -151,16 +152,19 @@ def quantities(v, names) -> dict[str, list[float]]:
         if name not in POINT_QUANTITIES:
             raise ValueError(f"unknown output {name!r}; valid: {', '.join(POINT_QUANTITIES)}")
     v = np.asarray(v, dtype=float)
-    nu = symplectic_eigenvalues(v[..., 2:, 2:] * _PT_SIGNS)[..., 0].ravel().tolist()
-    var_Mx, _, _, var_my = _collective(v)
+    nu = symplectic_eigenvalues(v[..., 2:, 2:] * _PT_SIGNS)[..., 0].ravel()
+    var_Mx, _, _, var_my = map(np.ravel, _collective(v))
     columns = {
-        "log_negativity": [EntanglementResult(x).log_negativity for x in nu],
+        "log_negativity": [EntanglementResult(x).log_negativity for x in nu.tolist()],
         "nu_minus": nu,
-        "duan_sum": np.ravel(var_Mx + var_my).tolist(),
-        "mancini_product": np.ravel(var_Mx * var_my).tolist(),
-        "var_x1": np.ravel(v[..., 2, 2]).tolist(),
-        "var_Mx": np.ravel(var_Mx).tolist(),
-        "var_my": np.ravel(var_my).tolist(),
+        "duan_sum": var_Mx + var_my,
+        "mancini_product": var_Mx * var_my,
+        "var_x1": np.ravel(v[..., 2, 2]),
+        "var_Mx": var_Mx,
+        "var_my": var_my,
     }
-    return {name: [squeezing_db(x) for x in columns[_SQUEEZING_OF[name]]]
-            if name in _SQUEEZING_OF else columns[name] for name in names}
+    block = np.empty((nu.size, len(names)))
+    for j, name in enumerate(names):
+        block[:, j] = ([squeezing_db(x) for x in columns[_SQUEEZING_OF[name]].tolist()]
+                       if name in _SQUEEZING_OF else columns[name])
+    return block.reshape(v.shape[:-2] + (len(names),))

@@ -236,7 +236,7 @@ def steady_state(point: FixedPoint):
 
 def point_quantities(cm) -> dict[str, float]:
     """Every quantity of a steady state, in the order ``cavmag point`` prints."""
-    return {name: values[0] for name, values in quantities(cm.v, POINT_QUANTITIES).items()}
+    return dict(zip(POINT_QUANTITIES, quantities(cm.v, POINT_QUANTITIES).tolist()))
 
 
 def axis_values(rng) -> list[float]:
@@ -311,14 +311,12 @@ def _named(exc: Exception, coordinates) -> Exception:
 
 
 def _point_values(axis, base, value, outputs, coordinates):
-    """The output tuple of the point ``axis.apply(base, value)`` by the per-point
+    """The output row of the point ``axis.apply(base, value)`` by the per-point
     pipeline; an exception is named by the point's (axis, value) coordinates."""
     try:
-        cm = steady_state(axis.apply(base, value))[2]
-        columns = quantities(cm.v, outputs)
+        return quantities(steady_state(axis.apply(base, value))[2].v, outputs)
     except Exception as exc:
         raise _named(exc, coordinates)
-    return tuple(columns[name][0] for name in outputs)
 
 
 def _line_values(points, outputs) -> np.ndarray:
@@ -333,8 +331,7 @@ def _line_values(points, outputs) -> np.ndarray:
     else:
         v = [solve_lyapunov(drift, _hold(DiffusionMatrix, dk)).v
              for drift, dk in zip(drifts, d)]
-    columns = quantities(np.array(v), outputs)
-    return np.column_stack([columns[name] for name in outputs])
+    return quantities(np.array(v), outputs)
 
 
 def _stable_drift(point):
@@ -533,23 +530,21 @@ def _lines(text: str):
 
 
 def check_certification_chain(csv_text: str) -> list[str]:
-    """Post-pass over CSV text: on every stable row, an inseparability
+    """Post-pass over CSV text: on every data row, an inseparability
     criterion below its bound must come with positive log negativity.
 
     Returns a list of violation descriptions (empty when consistent).
-    Text without a header line or a log_negativity column has none; a
-    header with log_negativity but no stability column, a row whose cell
-    count is not the header's and a stable row with a criterion cell that
-    is not a number raise ValueError.  The text is read a block of lines
-    at a time, so no list of all its lines is built.
+    Text without a header line or a log_negativity column has none; a row
+    whose cell count is not the header's, or with a criterion cell that is
+    not a number, raises ValueError naming its line; no other cell is
+    read.  The text is read a block of lines at a time, so no list of all
+    its lines is built.
     """
     lines = _lines(csv_text)
     header = next(lines, "").split(",")
     if "log_negativity" not in header:
         return []
-    if "stability" not in header:
-        raise ValueError("certification chain: the CSV header has no 'stability' column")
-    e_col, stability_col = header.index("log_negativity"), header.index("stability")
+    e_col = header.index("log_negativity")
     bounds = [(name, header.index(name), bound)
               for name, bound in (("duan_sum", DUAN_BOUND), ("mancini_product", MANCINI_BOUND))
               if name in header]
@@ -559,8 +554,6 @@ def check_certification_chain(csv_text: str) -> list[str]:
         if len(cells) != len(header):
             raise ValueError(f"certification chain: line {lineno} has {len(cells)} "
                              f"cells but the header has {len(header)}")
-        if cells[stability_col] != "stable":
-            continue
         try:
             e_value = float(cells[e_col])
             for name, col, bound in bounds:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import cavmag
@@ -100,6 +102,22 @@ def test_config_that_is_not_utf8_names_its_file(tmp_path, capsys):
     assert str(info.value).startswith(f"{path}: not UTF-8 text: 'utf-8' codec")
     assert main(["point", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"usage error: {path}: not UTF-8 text")
+
+
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # A UTF-8 file saved with a byte-order mark parses as the same file
+    # without it; bytes that are not UTF-8 after the mark stay a usage error.
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text("r = 1.5\ntheta_rad = 1.0\n", encoding="utf-8")
+    marked.write_text("r = 1.5\ntheta_rad = 1.0\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfr")
+    assert config.load_config(marked) == config.load_config(plain) == {
+        "r": 1.5, "theta_rad": 1.0}
+    marked.write_bytes(b"\xef\xbb\xbfr = 1.5\xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(marked))}: not UTF-8 text: "):
+        config.load_config(marked)
+    assert main(["point", "--config", str(marked)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {marked}: not UTF-8 text")
 
 
 def test_default_params_match_defaults():

@@ -8,6 +8,7 @@ from _systems import V_X1_REFERENCE, reference_point, reference_system, rotation
 from cavmag.config import default_params
 from cavmag.dynamics import build_diffusion, build_drift
 from cavmag.measures import (
+    POINT_QUANTITIES,
     EntanglementResult,
     TwoModeCM,
     collective_variances,
@@ -254,3 +255,26 @@ def test_quantities_rejects_an_unknown_name():
     assert str(info.value) == (
         "unknown output 'foo'; valid: log_negativity, nu_minus, duan_sum, "
         "mancini_product, var_x1, var_Mx, var_my, squeezing_db_x1, squeezing_db_Mx")
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["one", "stack"])
+def test_quantities_is_one_block_of_the_per_matrix_values(shape):
+    # One 6x6 matrix gives one row and a (2, 3, 6, 6) stack a (2, 3, 9)
+    # block, columns in the order asked for; every cell has the bits of
+    # the per-matrix functions.
+    cms = [steady_state(reference_point(r=0.5 * k, theta_rad=0.3 * k))[2]
+           for k in range(math.prod(shape))]
+    v = np.reshape([cm.v for cm in cms], shape + (6, 6))
+    block = quantities(v, POINT_QUANTITIES)
+    assert block.shape == shape + (len(POINT_QUANTITIES),) and block.dtype == np.float64
+    assert np.array_equal(quantities(v, POINT_QUANTITIES[::-1]), block[..., ::-1])
+
+    def per_matrix(cm):
+        entanglement, cv = log_negativity(reduce_to_magnons(cm)), collective_variances(cm)
+        return (entanglement.log_negativity, entanglement.nu_minus, duan_sum(cm),
+                mancini_product(cm), cm.v[2, 2], cv.var_Mx, cv.var_my,
+                squeezing_db(cm.v[2, 2]), squeezing_db(cv.var_Mx))
+
+    assert [[float(x).hex() for x in row]
+            for row in block.reshape(-1, len(POINT_QUANTITIES)).tolist()] == [
+        [float(x).hex() for x in per_matrix(cm)] for cm in cms]

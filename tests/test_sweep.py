@@ -498,24 +498,25 @@ def test_certification_chain_clean_on_preset():
 
 
 def test_certification_chain_flags_violations():
+    # Every data row is checked, whatever its last cell says.
     text = ("delta_a_hz,log_negativity,duan_sum,mancini_product,stability\n"
             "0,0,0.5,0.1,stable\n"
             "1,0,1.5,0.5,stable\n"
             "2,0,0.5,0.1,unstable\n")
-    violations = check_certification_chain(text)
-    assert len(violations) == 2  # duan and mancini on line 2 only
-    assert all("line 2" in v for v in violations)
+    assert check_certification_chain(text) == [
+        f"line {n}: {name} = {value} < {bound} but log_negativity = 0.0"
+        for n in (2, 4) for name, value, bound in (("duan_sum", 0.5, 1),
+                                                   ("mancini_product", 0.1, 0.25))]
 
 
-def test_certification_chain_needs_a_header_and_a_stability_column():
-    # Text without a header line has nothing to certify; a header with
-    # log_negativity but no stability column cannot be read.
+def test_certification_chain_needs_a_header_but_no_stability_column():
+    # Text without a header line has nothing to certify; a header without
+    # a stability column is read like any other.
     for text in ("", "\n"):
         assert check_certification_chain(text) == []
-    text = "delta_a_hz,log_negativity,duan_sum\n0,0,0.5\n"
-    with pytest.raises(ValueError, match="^certification chain: the CSV header has no "
-                                         "'stability' column$"):
-        check_certification_chain(text)
+    text = "delta_a_hz,log_negativity,duan_sum\n0,0,0.5\n1,0.1,0.5\n"
+    assert check_certification_chain(text) == [
+        "line 2: duan_sum = 0.5 < 1 but log_negativity = 0.0"]
 
 
 @pytest.mark.parametrize("row, message", [
@@ -525,12 +526,14 @@ def test_certification_chain_needs_a_header_and_a_stability_column():
     ("1,x,0.5,0.1,stable", "line 3: could not convert string to float: 'x'"),
     ("1,0,,0.1,stable", "line 3: could not convert string to float: ''"),
     ("1,0,0.5,-,stable", "line 3: could not convert string to float: '-'"),
+    ("0,,,,unstable", "line 3: could not convert string to float: ''"),
 ])
 def test_certification_chain_names_a_malformed_row(row, message):
-    # A row must have the header's cells, and a stable row numbers in the
-    # cells the chain reads; an unstable row's empty cells are not read.
+    # A row must have the header's cells and numbers in the cells the chain
+    # reads, whatever its stability flag; line 2, flagged unstable but well
+    # formed, is read and passes.
     text = ("delta_a_hz,log_negativity,duan_sum,mancini_product,stability\n"
-            "0,,,,unstable\n" + row + "\n")
+            "0,1,0.5,0.1,unstable\n" + row + "\n")
     with pytest.raises(ValueError) as info:
         check_certification_chain(text)
     assert str(info.value) == f"certification chain: {message}"

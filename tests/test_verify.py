@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cavmag.sweep
 from cavmag import config, verify
 from cavmag.config import fixed_from_values
 from cavmag.sweep import SweepResult, SweepSpec, axis_values, preset, run_sweep
@@ -42,7 +43,7 @@ def test_criterion_consistency_checks_each_distinct_grid_once(sweep_calls, monke
         checked.append(text)
         return []
 
-    monkeypatch.setattr(verify, "check_certification_chain", counting_chain)
+    monkeypatch.setattr(cavmag.sweep, "check_certification_chain", counting_chain)
     assert verify.check_criterion_consistency().passed
     assert len(sweep_calls) == 2  # fig2a, and fig2b shared with fig4a
     assert len(checked) == 2
