@@ -30,6 +30,9 @@ R_CONDITIONING_LIMIT = 6.0
 # Most negative eigenvalue tolerated by the diffusion PSD check.
 _PSD_TOL = 1e-12
 
+# Relative asymmetry tolerated in a raw diffusion array or a covariance matrix.
+_SYMMETRY_RTOL = 1e-12
+
 
 def _check_info(routine: str, info: int) -> None:
     """Raise numpy.linalg.LinAlgError for a nonzero LAPACK info code."""
@@ -131,9 +134,9 @@ class DiffusionMatrix:
 
 
 def _diffusion_array(d) -> np.ndarray:
-    """The diffusion as an array; ValueError unless it is 6x6 and finite.
-    A DiffusionMatrix was checked when it was made and is not checked
-    again."""
+    """The diffusion as an array; ValueError unless it is 6x6, finite, and
+    symmetric to _SYMMETRY_RTOL relative to max|D|.  A DiffusionMatrix was
+    checked when it was made and is not checked again."""
     if isinstance(d, DiffusionMatrix):
         return d.d
     arr = np.asarray(d, dtype=float)
@@ -141,6 +144,10 @@ def _diffusion_array(d) -> np.ndarray:
         raise ValueError(f"diffusion matrix must have shape (6, 6), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("diffusion matrix must be finite")
+    if not (arr == arr.T).all():
+        asymmetry = float(np.abs(arr - arr.T).max())
+        if asymmetry > _SYMMETRY_RTOL * float(np.abs(arr).max()):
+            raise ValueError(f"diffusion matrix asymmetric: max |d - d.T| = {asymmetry:.3e}")
     return arr
 
 

@@ -20,14 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, lapack
 
-from .dynamics import (_as_drift, _check_info, _checked_drift_array, _diffusion_array, _hold,
-                       stability_check)
+from .dynamics import (_SYMMETRY_RTOL, _as_drift, _check_info, _checked_drift_array,
+                       _diffusion_array, _hold, stability_check)
 
 # Max-norm residual of A V + V A^T + D, relative to the max-norm of D.
 RESIDUAL_RTOL = 1e-10
-
-# Relative asymmetry tolerated before a covariance matrix is rejected.
-_SYMMETRY_RTOL = 1e-12
 
 # Relative imaginary residue tolerated in a symplectic spectrum.
 _EIG_IMAG_RTOL = 1e-9
@@ -147,13 +144,13 @@ def _lyapunov_backend(solve):
     """The contract of every steady-state backend around its raw solve of
     A V + V A^T = -D, checked in this order before any LAPACK call: an A
     that is not 6x6 or has a non-finite entry raises
-    numpy.linalg.LinAlgError, a D that is not 6x6 or has a non-finite entry
-    ValueError, and an A that stability_check refuses the error of
-    StabilityReport.require.  The symmetrized V must then meet
-    max|A V + V A^T + D| <= 1e-10 max|D| (a NaN residual fails) or
-    ArithmeticError is raised, and have a positive diagonal or ValueError
-    is; such a V is finite and exactly symmetric, so it is stored as it
-    is (_hold).  A DriftMatrix or DiffusionMatrix already
+    numpy.linalg.LinAlgError, a D that is not 6x6, has a non-finite entry
+    or is asymmetric beyond 1e-12 max|D| ValueError, and an A that
+    stability_check refuses the error of StabilityReport.require.  The
+    symmetrized V must then meet max|A V + V A^T + D| <= 1e-10 max|D| (a
+    NaN residual fails) or ArithmeticError is raised, and have a positive
+    diagonal or ValueError is; such a V is finite and exactly symmetric, so
+    it is stored as it is (_hold).  A DriftMatrix or DiffusionMatrix already
     meets its part of the contract and is not checked again.  The raw
     solve gets A as a DriftMatrix, whose Schur factor the stability test
     has just computed.
@@ -265,8 +262,9 @@ def propagate_covariance(a, d, v0, t_final: float, dt: float) -> CovarianceMatri
     symmetrized after every applied block and Q after every doubling;
     no Lyapunov solve is used.  Before any work, a drift that is not 6x6 or
     not finite raises numpy.linalg.LinAlgError, a diffusion that is not
-    6x6 or not finite ValueError, and a v0 that CovarianceMatrix rejects
-    its ValueError; t_final = 0 returns v0 as a CovarianceMatrix.
+    6x6, not finite or asymmetric beyond 1e-12 max|D| ValueError, and a v0
+    that CovarianceMatrix rejects its ValueError; t_final = 0 returns v0
+    as a CovarianceMatrix.
     """
     a_arr = _checked_drift_array(a)
     d_arr = _diffusion_array(d)

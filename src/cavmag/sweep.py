@@ -221,6 +221,8 @@ def _check_range(axis, rng):
         raise ValueError(f"{axis}: grid needs at least 2 points, got {count}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{axis}: range bounds must be finite, got {lo} and {hi}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{axis}: range span from {lo} to {hi} overflows a double")
     if not lo < hi:
         raise ValueError(f"{axis}: range min {lo} must be below max {hi}")
 
@@ -496,7 +498,9 @@ def format_csv(result: SweepResult) -> str:
     """Render a sweep as CSV: axis columns, one column per output, then the
     stability flag, kept for format stability ('stable' on every row).
     17 significant digits, '.' decimal separator, unix line endings.
-    The rows are rendered from the result's arrays one grid line at a time."""
+    The rows are rendered from the result's arrays one grid line at a time,
+    and the text is joined once, so at its peak it is held twice: the
+    lines' strings and the result."""
     spec = result.spec
     axes = [_AXES[axis].column for axis in (spec.axis1, spec.axis2) if axis is not None]
     header = ",".join(axes + list(spec.outputs) + ["stability"])
@@ -511,7 +515,8 @@ def format_csv(result: SweepResult) -> str:
     for prefix, along, block in lines:
         text.append("\n".join([row % (*prefix, v, *cells)
                                for v, cells in zip(along, block.tolist())]))
-    return "\n".join(text) + "\n"
+    text.append("")  # the final newline, so the text is joined in one copy
+    return "\n".join(text)
 
 
 # Characters of CSV text that check_certification_chain splits into lines at a time.

@@ -216,6 +216,14 @@ def test_non_finite_range_names_the_axis(capsys, preset, bounds):
     assert f"usage error: {axis}: range bounds must be finite" in err
 
 
+def test_range_whose_span_overflows_is_one_usage_error_line(capsys):
+    # Refused before np.linspace can warn or make a NaN grid point.
+    err = _failure(capsys, 1, "sweep", "--preset", "fig2b", "--points", "2",
+                   "--range", "delta_a=-1e308:1e308", warns=True)
+    assert err == ("usage error: delta_a: range span from -1e+308 to 1e+308 "
+                   "overflows a double\n")
+
+
 def test_failing_grid_point_is_named_with_unchanged_exit_code(monkeypatch, capsys):
     # Usage error: the magnon detuning makes omega_m1 negative.
     assert _failure(capsys, 1, "sweep", "--preset", "fig2b", "--points", "3",

@@ -210,18 +210,39 @@ def test_drift_that_is_not_6x6_is_refused_before_any_work(monkeypatch, routine, 
         routine(-np.eye(size), np.eye(size))
 
 
+_DIFFUSION_CONSUMERS = {name: _DRIFT_CONSUMERS[name]
+                        for name in ("solve_lyapunov", "solve_lyapunov_kron",
+                                     "propagate_covariance")}
+_ASYMMETRIC_D = np.eye(6)
+_ASYMMETRIC_D[0, 1] = 0.3
+
+
 @pytest.mark.parametrize("d, message", [
     (np.eye(4), "diffusion matrix must have shape (6, 6), got (4, 4)"),
     (np.diag([1.0, np.nan, 1.0, 1.0, 1.0, 1.0]), "diffusion matrix must be finite"),
-], ids=["4x4", "nan"])
-@pytest.mark.parametrize("routine", [solve_lyapunov, solve_lyapunov_kron],
-                         ids=["solve_lyapunov", "solve_lyapunov_kron"])
+    (_ASYMMETRIC_D, "diffusion matrix asymmetric: max |d - d.T| = 3.000e-01"),
+], ids=["4x4", "nan", "asymmetric"])
+@pytest.mark.parametrize("routine", _DIFFUSION_CONSUMERS.values(), ids=_DIFFUSION_CONSUMERS)
 def test_diffusion_beside_a_stable_drift_is_refused_before_any_work(monkeypatch, routine,
                                                                      d, message):
-    # D is checked after A's shape and before A's stability test runs dgees.
+    # D is checked after A's shape and before any work on A (the solvers'
+    # stability test runs dgees).  An asymmetric D is bad input, refused as
+    # such, not solved and reported as a failed residual check.
     _forbid_work(monkeypatch)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         routine(-np.eye(6), d)
+
+
+@pytest.mark.parametrize("routine", _DIFFUSION_CONSUMERS.values(), ids=_DIFFUSION_CONSUMERS)
+def test_diffusion_asymmetric_by_rounding_still_solves(routine):
+    # An asymmetry of 1e-14 max|D| is within the 1e-12 rule covariance
+    # matrices use, and moves V by no more than about that much of max|V|.
+    a, d = _reference_system()
+    nudged = d.copy()
+    nudged[0, 1] += 1e-14 * np.abs(d).max()
+    assert not (nudged == nudged.T).all()
+    v = routine(a, d).v
+    assert np.abs(routine(a, nudged).v - v).max() <= 1e-12 * np.abs(v).max()
 
 
 @pytest.mark.parametrize("routine", _DRIFT_CONSUMERS.values(), ids=_DRIFT_CONSUMERS)

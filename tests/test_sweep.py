@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -415,6 +416,25 @@ def test_single_sample_thermal_variance():
     assert result.rows[0].values[0] == env.n_m1 + 0.5
 
 
+def test_range_whose_span_overflows_a_double_names_its_axis():
+    # Finite bounds whose difference is not finite are refused before any
+    # grid is built, through the spec and through with_range; a span just
+    # below the largest double is a range.
+    fixed = reference_point()
+    message = re.escape("range span from -1e+308 to 1e+308 overflows a double")
+    with pytest.raises(ValueError, match=f"^delta_a: {message}$"):
+        SweepSpec(axis1="delta_a", range1=(-1e308, 1e308, 2), fixed=fixed,
+                  outputs=("log_negativity",))
+    with pytest.raises(ValueError, match=f"^temperature: {message}$"):
+        SweepSpec(axis1="r", range1=(0, 1, 3), axis2="temperature",
+                  range2=(-1e308, 1e308, 3), fixed=fixed, outputs=("log_negativity",))
+    for axis in ("delta_a", "delta_m"):
+        with pytest.raises(ValueError, match=f"^{axis}: {message}$"):
+            with_range(preset("fig2b", points=2), axis, -1e308, 1e308)
+    assert with_range(preset("fig2b", points=2), "delta_a", -8e307, 8e307).range1 == (
+        -8e307, 8e307, 2)
+
+
 def test_with_range_overrides_axis():
     spec = preset("fig2b", points=5)
     spec = with_range(spec, "delta_m", -5e6, 5e6)
@@ -670,6 +690,21 @@ def test_sweep_keeps_its_numbers_in_arrays():
     assert kept <= 64 * 41 * 41, kept
     assert chain_peak <= len(text), (chain_peak, len(text))
     assert "rows" not in vars(result)
+
+
+def test_format_csv_holds_its_text_at_most_twice():
+    # The text is joined once, so while it is rendered the lines' strings
+    # and the result are alive together, but no third copy.
+    result = run_sweep(preset("fig2b", 41))
+    format_csv(result)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = format_csv(result)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), (peak, len(text))
 
 
 def test_sweep_outputs_are_the_point_quantities():
