@@ -251,7 +251,7 @@ def build_diffusion(params: SystemParams, drive: DriveParams,
 def _cavity_block(kappa_a: float, r: float, theta: float) -> tuple:
     """The cavity block entries (d00, d11, d01) of D, then the smallest
     eigenvalue of the 2x2 block and the info code of the LAPACK dsyev call
-    that gives it; dsyev runs only when the three entries are finite."""
+    that gives it; OverflowError naming r if an entry overflows a double."""
     try:
         n_sq = math.sinh(r) ** 2
         m_sq = cmath.exp(1j * theta) * math.sinh(r) * math.cosh(r)
@@ -261,7 +261,9 @@ def _cavity_block(kappa_a: float, r: float, theta: float) -> tuple:
     d11 = 2.0 * kappa_a * (n_sq + 0.5 - m_sq.real)
     d01 = 2.0 * kappa_a * m_sq.imag
     if not all(map(math.isfinite, (d00, d11, d01))):
-        return d00, d11, d01, math.nan, 0
+        raise OverflowError(
+            f"squeezing parameter r = {r:g} overflows the diffusion matrix: "
+            f"its entries of order e^(2r) exceed the largest double")
     eigvals, _, info = lapack.dsyev(np.array([[d00, d01], [d01, d11]]), compute_v=0)
     return d00, d11, d01, eigvals[0], info
 
@@ -295,10 +297,6 @@ def _diffusion_stack(rows) -> np.ndarray:
         d00, d11, d01, lowest, info = cavity_blocks[key]
         d22 = 2.0 * params.kappa_m1 * (n_m1 + 0.5)
         d44 = 2.0 * params.kappa_m2 * (n_m2 + 0.5)
-        if not all(map(math.isfinite, (d00, d11, d01))):
-            raise OverflowError(
-                f"squeezing parameter r = {drive.r:g} overflows the diffusion matrix: "
-                f"its entries of order e^(2r) exceed the largest double")
         if not (math.isfinite(d22) and math.isfinite(d44)):
             raise OverflowError(
                 f"magnon bath at T = {temperature:g} K overflows the diffusion matrix: "

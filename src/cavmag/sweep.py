@@ -199,6 +199,19 @@ class SweepResult:
                              f"{', '.join(self.spec.outputs)}")
         return self.values[:, self.spec.outputs.index(name)]
 
+    def lines(self):
+        """The grid one line at a time, axis1-major, each line a result with
+        this spec: a 2D result's line at each axis1 value, whose axis1 holds
+        that value and whose axis2 is the full axis, or a 1D result, which
+        is a single line."""
+        if self.axis2 is None:
+            yield self
+            return
+        n = self.axis2.size
+        for i in range(self.axis1.size):
+            yield SweepResult(self.spec, self.axis1[i:i + 1], self.axis2,
+                              self.values[i * n:(i + 1) * n])
+
     @functools.cached_property
     def rows(self) -> tuple[GridRow, ...]:
         """One GridRow per grid point, axis1-major, built from the arrays
@@ -217,11 +230,16 @@ def _check_range(axis, rng):
         raise ValueError(f"{axis}: range must be (min, max, count), got {rng!r}") from None
     if not all(isinstance(x, numbers.Real) for x in (lo, hi, count)):
         raise ValueError(f"{axis}: range (min, max, count) must be numbers, got {rng!r}")
+    try:
+        span = float(hi) - float(lo)
+        float(count)
+    except OverflowError:  # an int beyond the largest double
+        raise ValueError(f"{axis}: range (min, max, count) must fit in a double") from None
     if not math.isfinite(count) or int(count) != count or count < 2:
         raise ValueError(f"{axis}: grid needs at least 2 points, got {count}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{axis}: range bounds must be finite, got {lo} and {hi}")
-    if not math.isfinite(hi - lo):
+    if not math.isfinite(span):
         raise ValueError(f"{axis}: range span from {lo} to {hi} overflows a double")
     if not lo < hi:
         raise ValueError(f"{axis}: range min {lo} must be below max {hi}")
@@ -498,23 +516,19 @@ def format_csv(result: SweepResult) -> str:
     """Render a sweep as CSV: axis columns, one column per output, then the
     stability flag, kept for format stability ('stable' on every row).
     17 significant digits, '.' decimal separator, unix line endings.
-    The rows are rendered from the result's arrays one grid line at a time,
-    and the text is joined once, so at its peak it is held twice: the
-    lines' strings and the result."""
+    The rows are rendered from the result's arrays one grid line at a time
+    (SweepResult.lines), and the text is joined once, so at its peak it is
+    held twice: the lines' strings and the result."""
     spec = result.spec
     axes = [_AXES[axis].column for axis in (spec.axis1, spec.axis2) if axis is not None]
     header = ",".join(axes + list(spec.outputs) + ["stability"])
     row = ",".join(["%.17g"] * (len(axes) + len(spec.outputs))) + ",stable"
-    if result.axis2 is None:
-        lines = [((), result.axis1.tolist(), result.values)]
-    else:
-        n, axis2 = result.axis2.size, result.axis2.tolist()
-        lines = (((v1,), axis2, result.values[i * n:(i + 1) * n])
-                 for i, v1 in enumerate(result.axis1.tolist()))
     text = [header]
-    for prefix, along, block in lines:
-        text.append("\n".join([row % (*prefix, v, *cells)
-                               for v, cells in zip(along, block.tolist())]))
+    for line in result.lines():
+        points = itertools.product(*(axis.tolist() for axis in (line.axis1, line.axis2)
+                                     if axis is not None))
+        text.append("\n".join([row % (*point, *cells)
+                               for point, cells in zip(points, line.values.tolist())]))
     text.append("")  # the final newline, so the text is joined in one copy
     return "\n".join(text)
 

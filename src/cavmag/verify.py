@@ -19,8 +19,7 @@ from .dynamics import stability_check
 from .measures import DUAN_BOUND, MANCINI_BOUND, POINT_QUANTITIES, input_squeezing_db
 from .model import FixedPoint
 from .steadystate import propagate_covariance, solve_lyapunov, solve_lyapunov_kron
-from .sweep import (SweepResult, axis_values, get_axis, point_quantities, preset, run_sweep,
-                    steady_state)
+from .sweep import axis_values, get_axis, point_quantities, preset, run_sweep, steady_state
 
 # The checks reach these through cavmag.sweep; the benchmark tracer still
 # patches them under cavmag.verify, so they stay importable here.
@@ -74,19 +73,6 @@ def _preset_sweep(name: str):
     spec = preset(name)
     outputs = tuple(q for q in POINT_QUANTITIES if q in spec.outputs)
     return _grid_sweep(replace(spec, outputs=outputs))
-
-
-def _grid_lines(result: SweepResult):
-    """A result one grid line at a time, each line a result of its own with
-    the grid's axes and outputs: a 2D result's line at each axis1 value, or
-    a 1D result, which is a single line."""
-    if result.axis2 is None:
-        yield result
-        return
-    n = result.axis2.size
-    for i in range(result.axis1.size):
-        yield SweepResult(result.spec, result.axis1[i:i + 1], result.axis2,
-                          result.values[i * n:(i + 1) * n])
 
 
 def check_magnon_squeezing() -> CriterionResult:
@@ -183,7 +169,7 @@ def check_criterion_consistency() -> CriterionResult:
     for result in results.values():
         # A line at a time, so no CSV text of a whole grid is built; both
         # are looked up on the module, where the benchmark tracer patches them.
-        for line in _grid_lines(result):
+        for line in result.lines():
             failures += sweep.check_certification_chain(sweep.format_csv(line))
     resonant = _quantities()
     duan_res, mancini_res = resonant["duan_sum"], resonant["mancini_product"]
@@ -277,8 +263,7 @@ def check_phase_invariance() -> CriterionResult:
                 for theta in (0.0, math.pi / 4, math.pi / 2, math.pi)]
     e_spread = max(e_values) - min(e_values)
     result = _preset_sweep("fig5b")
-    along_theta = result.column("var_x1").reshape(result.axis1.size, -1)
-    row_spread = float(np.ptp(along_theta, axis=1).max())
+    row_spread = max(float(np.ptp(line.column("var_x1"))) for line in result.lines())
     return _result(
         12, "phase invariance of E",
         e_spread <= 1e-9 and row_spread > 1e-6,

@@ -331,6 +331,16 @@ def test_point_overflowing_r_names_r(capsys, r):
         f"its entries of order e^(2r) exceed the largest double\n")
 
 
+def test_point_overflowing_r_and_bath_names_r(capsys):
+    # The cavity entries are checked for overflow before the magnon entries.
+    assert _failure(capsys, 2, "point", "--set", "r=400", "--set", "temperature_k=1e308",
+                    warns=True) == (
+        "warning: squeezing parameter r = 400 makes diffusion entries of order e^(2r); "
+        "steady-state solves may lose accuracy\n"
+        "numerical failure: squeezing parameter r = 400 overflows the diffusion matrix: "
+        "its entries of order e^(2r) exceed the largest double\n")
+
+
 @pytest.mark.parametrize("setting, temperature", [
     ("temperature_k=5e307", "5e+307"),  # finite occupations, overflowing noise entries
     ("temperature_k=1e308", "1e+308"),  # the occupations themselves overflow

@@ -231,6 +231,13 @@ def test_diffusion_validation():
     indefinite = -np.eye(6)
     with pytest.raises(ValueError):
         DiffusionMatrix(indefinite)
+    # An asymmetry within 1e-12 max|D| passes the routines' check, but a
+    # DiffusionMatrix must be exactly symmetric.
+    rounded = np.eye(6)
+    rounded[0, 1] = 1e-15
+    solve_lyapunov(-np.eye(6), rounded)
+    with pytest.raises(ValueError, match="^diffusion matrix must be exactly symmetric$"):
+        DiffusionMatrix(rounded)
 
 
 @pytest.mark.parametrize("cls, routine", [

@@ -435,6 +435,20 @@ def test_range_whose_span_overflows_a_double_names_its_axis():
         -8e307, 8e307, 2)
 
 
+def test_range_too_large_for_a_double_names_its_axis():
+    # An int bound or count beyond the largest double is a usage error that
+    # names its axis, not an OverflowError, and so is an int span that
+    # overflows a double.
+    spec = preset("fig3", 3)
+    for rng in [(0, 10**400, 3), (0, 1, 10**400)]:
+        with pytest.raises(ValueError, match=r"^temperature: range \(min, max, count\) "
+                                             r"must fit in a double$"):
+            replace(spec, range1=rng)
+    big = int(1.7e308)
+    with pytest.raises(ValueError, match="^temperature: range span from .* overflows a double$"):
+        replace(spec, range1=(-big, big, 3))
+
+
 def test_with_range_overrides_axis():
     spec = preset("fig2b", points=5)
     spec = with_range(spec, "delta_m", -5e6, 5e6)
@@ -655,6 +669,29 @@ def test_format_csv_renders_the_arrays_byte_for_byte(axes):
     values[0][0] = 7.0
     assert result.values[0, 0] == _EDGE_VALUES[0]
     assert result != SweepResult(spec, result.axis1, result.axis2, result.values)
+
+
+@pytest.mark.parametrize("axes", [("temperature",), ("r", "theta")], ids=["1d", "2d"])
+def test_lines_split_the_grid_axis1_major(axes):
+    spec = SweepSpec(axis1=axes[0], range1=(0.0, 1.0, 3), fixed=reference_point(),
+                     outputs=("var_x1", "duan_sum"), axis2=axes[1] if len(axes) > 1 else None,
+                     range2=(0.0, 1.0, 3) if len(axes) > 1 else None)
+    grids = [list(_EDGE_VALUES), [-x for x in _EDGE_VALUES[:4]]][:len(axes)]
+    points = math.prod(len(grid) for grid in grids)
+    values = np.array([_EDGE_VALUES[k % 6] * (-1) ** k for k in range(2 * points)])
+    result = SweepResult(spec, grids[0], grids[1] if len(axes) > 1 else None,
+                         values.reshape(points, 2))
+    lines = list(result.lines())
+    if len(axes) == 1:
+        assert lines == [result]  # a 1D result is its one line
+    else:
+        assert len(lines) == result.axis1.size
+        for v1, line in zip(result.axis1, lines):
+            assert line.spec is result.spec
+            assert line.axis1.tobytes() == np.array([v1]).tobytes()
+            assert line.axis2.tobytes() == result.axis2.tobytes()
+    assert np.concatenate([line.values for line in lines]).tobytes() == (
+        result.values.tobytes())
 
 
 def test_sweep_result_checks_its_shapes():
