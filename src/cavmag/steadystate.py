@@ -2,9 +2,10 @@
 
 The covariance types and their symplectic spectrum.  The stationary V
 solves A V + V A^T = -D by either of two cross-validated backends under
-one contract (_lyapunov_backend), the one home of the check of a solved
-V: a Bartels-Stewart solve calling LAPACK dtrsyl directly on the drift's
-real Schur factor, and a dense 36x36 vectorized solve.  The factor
+one contract (_lyapunov_backend), which checks every solved V (a
+fixed-drift line's screen, _one_drift_solves, restates its rule for a
+stack): a Bartels-Stewart solve calling LAPACK dtrsyl directly on the
+drift's real Schur factor, and a dense 36x36 vectorized solve.  The factor
 (dgees) is the one the stability test computed and the DriftMatrix keeps
 (dynamics.DriftMatrix.schur), so a drift is factored once for both.
 propagate_covariance steps dV/dt = A V + V A^T + D exactly with the matrix

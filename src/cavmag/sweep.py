@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 import numbers
+import re
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -99,7 +100,7 @@ _AXES = {
     "theta": Axis("theta_rad", ("theta_rad",),
                   lambda p, theta: FixedPoint(p.params, DriveParams(p.drive.r, theta),
                                               p.temperature),
-                  lambda p, n: (0.0, TWO_PI * (n - 1) / max(n, 1), n)),
+                  lambda p, n: (0.0, TWO_PI * (n - 1) / n, n)),
     "temperature": Axis("temperature_k", ("temperature_k",),
                         lambda p, t: FixedPoint(p.params, p.drive, t),
                         lambda p, n: (0.0, 0.5, n)),
@@ -485,6 +486,7 @@ def preset(name: str, points: int = DEFAULT_POINTS,
     fixed = fixed_from_values(config.merge(base, pins, overrides))
     axis1 = definition.axes[0]
     axis2 = definition.axes[1] if len(definition.axes) > 1 else None
+    _check_range(axis1, (0, 1, points))  # the count, before theta's range divides by it
     return SweepSpec(
         axis1=axis1,
         range1=_AXES[axis1].preset_range(fixed, points),
@@ -533,21 +535,6 @@ def format_csv(result: SweepResult) -> str:
     return "\n".join(text)
 
 
-# Characters of CSV text that check_certification_chain splits into lines at a time.
-_CHAIN_BLOCK = 8192
-
-
-def _lines(text: str):
-    """The lines of text.splitlines(), split from blocks of about
-    _CHAIN_BLOCK characters that each end after a newline: splitlines ends
-    a line there too ('\\r\\n' included), so the lines are the same."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHAIN_BLOCK) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
-
-
 def check_certification_chain(csv_text: str) -> list[str]:
     """Post-pass over CSV text: on every data row, an inseparability
     criterion below its bound must come with positive log negativity.
@@ -556,10 +543,12 @@ def check_certification_chain(csv_text: str) -> list[str]:
     Text without a header line or a log_negativity column has none; a row
     whose cell count is not the header's, or with a criterion cell that is
     not a number, raises ValueError naming its line; no other cell is
-    read.  The text is read a block of lines at a time, so no list of all
-    its lines is built.
+    read.  A line ends at each '\\n', and any '\\r' that ends a line is
+    dropped, so '\\r\\n' text reads as '\\n' text; no other character
+    ends a line.  The lines are read one at a time, so no list of them is
+    built.
     """
-    lines = _lines(csv_text)
+    lines = (m.group().rstrip("\r\n") for m in re.finditer(r"[^\n]*\n|[^\n]+", csv_text))
     header = next(lines, "").split(",")
     if "log_negativity" not in header:
         return []

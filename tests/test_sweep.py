@@ -241,6 +241,41 @@ def test_bad_solution_on_a_fixed_drift_line_is_named_by_the_point_solve(monkeypa
     assert str(info.value) == f"temperature_k = 0.10000000000000001: {alone.value}"
 
 
+@pytest.mark.parametrize("k", [0.999, 1.001])
+def test_fixed_drift_line_screen_holds_the_residual_bound(monkeypatch, k):
+    # The line screen restates solve_lyapunov's residual bound.  The middle
+    # point's V is moved by delta E (E symmetric), sized to a residual of
+    # k RESIDUAL_RTOL max|D|: just inside the bound the line passes its
+    # screen, and just outside it fails and the point is named with
+    # steady_state's own error.
+    point = reference_point(temperature_k=0.1)
+    drift, diffusion, _ = steady_state(point)
+    e = np.zeros((6, 6))
+    e[2, 4] = e[4, 2] = 1.0
+    delta = (k * steadystate.RESIDUAL_RTOL * np.abs(diffusion.d).max()
+             / np.abs(drift.a @ e + e @ drift.a.T).max())
+    real = steadystate._schur_solve
+
+    def schur_solve(factor, d):
+        return real(factor, d) + (delta * e if np.array_equal(d, diffusion.d) else 0.0)
+
+    monkeypatch.setattr(steadystate, "_schur_solve", schur_solve)
+    calls = _spy(monkeypatch, "steady_state")
+    spec = SweepSpec(axis1="temperature", range1=(0.0, 0.2, 3), fixed=reference_point(),
+                     outputs=("log_negativity",))
+    if k < 1.0:
+        run_sweep(spec)
+        assert not calls
+        return
+    with pytest.raises(ArithmeticError) as alone:
+        steady_state(point)
+    assert re.match(r"solve_lyapunov: residual .* exceeds bound ", str(alone.value))
+    with pytest.raises(ArithmeticError) as info:
+        run_sweep(spec)
+    assert str(info.value) == f"temperature_k = 0.10000000000000001: {alone.value}"
+    assert len(calls) == 2  # the line again, point by point, to the failing point
+
+
 def test_first_failing_point_of_a_line_is_named(monkeypatch):
     # The line fails at theta = 1 in its noise stage, and its measures fail
     # as a stack; evaluated on its own, theta = 0.5 fails first, in its
@@ -447,6 +482,14 @@ def test_range_too_large_for_a_double_names_its_axis():
     big = int(1.7e308)
     with pytest.raises(ValueError, match="^temperature: range span from .* overflows a double$"):
         replace(spec, range1=(-big, big, 3))
+    # A preset checks the count under its first axis's name before it
+    # computes a range from it: fig5b's theta range spans (n - 1)/n of a
+    # period, which would overflow first.
+    for name in sweep_mod.PRESET_NAMES:
+        axis = sweep_mod._PRESETS[name].axes[0]
+        with pytest.raises(ValueError, match=rf"^{axis}: range \(min, max, count\) "
+                                             r"must fit in a double$"):
+            preset(name, points=10**400)
 
 
 def test_with_range_overrides_axis():
@@ -532,15 +575,17 @@ def test_certification_chain_clean_on_preset():
 
 
 def test_certification_chain_flags_violations():
-    # Every data row is checked, whatever its last cell says.
-    text = ("delta_a_hz,log_negativity,duan_sum,mancini_product,stability\n"
-            "0,0,0.5,0.1,stable\n"
-            "1,0,1.5,0.5,stable\n"
-            "2,0,0.5,0.1,unstable\n")
-    assert check_certification_chain(text) == [
-        f"line {n}: {name} = {value} < {bound} but log_negativity = 0.0"
-        for n in (2, 4) for name, value, bound in (("duan_sum", 0.5, 1),
-                                                   ("mancini_product", 0.1, 0.25))]
+    # Every data row is checked, whatever its last cell says.  '\r\n' text
+    # reads as '\n' text, and the last line needs no newline.
+    lines = ["delta_a_hz,log_negativity,duan_sum,mancini_product,stability",
+             "0,0,0.5,0.1,stable",
+             "1,0,1.5,0.5,stable",
+             "2,0,0.5,0.1,unstable"]
+    for ending, last in (("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")):
+        assert check_certification_chain(ending.join(lines) + last) == [
+            f"line {n}: {name} = {value} < {bound} but log_negativity = 0.0"
+            for n in (2, 4) for name, value, bound in (("duan_sum", 0.5, 1),
+                                                       ("mancini_product", 0.1, 0.25))]
 
 
 def test_certification_chain_needs_a_header_but_no_stability_column():
@@ -551,6 +596,11 @@ def test_certification_chain_needs_a_header_but_no_stability_column():
     text = "delta_a_hz,log_negativity,duan_sum\n0,0,0.5\n1,0.1,0.5\n"
     assert check_certification_chain(text) == [
         "line 2: duan_sum = 0.5 < 1 but log_negativity = 0.0"]
+    # Only '\n' ends a line: any other line break of str.splitlines is a
+    # character of its cell, here one the chain does not read.
+    for brk in ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        assert check_certification_chain(text.replace("\n0,", f"\n0{brk},")) == [
+            "line 2: duan_sum = 0.5 < 1 but log_negativity = 0.0"], repr(brk)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -561,35 +611,17 @@ def test_certification_chain_needs_a_header_but_no_stability_column():
     ("1,0,,0.1,stable", "line 3: could not convert string to float: ''"),
     ("1,0,0.5,-,stable", "line 3: could not convert string to float: '-'"),
     ("0,,,,unstable", "line 3: could not convert string to float: ''"),
+    ("", "line 3 has 1 cells but the header has 5"),
 ])
 def test_certification_chain_names_a_malformed_row(row, message):
     # A row must have the header's cells and numbers in the cells the chain
-    # reads, whatever its stability flag; line 2, flagged unstable but well
-    # formed, is read and passes.
+    # reads, whatever its stability flag (a blank line is a row of one
+    # cell); line 2, flagged unstable but well formed, is read and passes.
     text = ("delta_a_hz,log_negativity,duan_sum,mancini_product,stability\n"
             "0,1,0.5,0.1,unstable\n" + row + "\n")
     with pytest.raises(ValueError) as info:
         check_certification_chain(text)
     assert str(info.value) == f"certification chain: {message}"
-
-
-@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 1 << 13])
-def test_certification_chain_reads_the_lines_splitlines_gives(monkeypatch, block):
-    # The chain splits its text a block at a time; every line break that
-    # splitlines knows, '\r\n' astride a block's end and empty lines
-    # included, must give the same lines, so the same violations, errors
-    # and line numbers as one splitlines call.
-    monkeypatch.setattr(sweep_mod, "_CHAIN_BLOCK", block)
-    header = "delta_a_hz,log_negativity,duan_sum,stability"
-    texts = ["", "\n", "\n\n", "a", "a\r\nb\rc\n\nd\x0be\x0cf\x1cg\x1dh\x1ei\x85j k l",
-             "\r\n\r\n\n\r", "x\r", header + "\r\n0,0,0.5,stable\r\n1,1,0.5,stable\r\n",
-             header + "\n0,0,0.5,stable\n\n1,0,0.5,stable"]
-    for text in texts:
-        assert list(sweep_mod._lines(text)) == text.splitlines(), (block, text)
-    assert check_certification_chain(texts[-2]) == [
-        "line 2: duan_sum = 0.5 < 1 but log_negativity = 0.0"]
-    with pytest.raises(ValueError, match="^certification chain: line 3 has 1 cells "):
-        check_certification_chain(texts[-1])
 
 
 def test_detuning_grid_is_symmetric_under_sign_flip():
