@@ -121,8 +121,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_point(args) -> int:
-    file_values, set_values = _load_values(args)
-    fixed = config.fixed_from_values(config.merge(file_values, set_values))
+    fixed = config.fixed_from_values(*_load_values(args))  # file, then --set values
     quantities = sweep_mod.point_quantities(sweep_mod.steady_state(fixed)[2])
     print("stability = stable")
     for name, value in quantities.items():

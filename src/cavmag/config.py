@@ -107,8 +107,10 @@ def merge(*layers: dict[str, float]) -> dict[str, float]:
     return values
 
 
-def fixed_from_values(values: dict[str, float]) -> FixedPoint:
-    """The operating point (internal units) of a full configuration dict."""
+def fixed_from_values(*layers: dict[str, float]) -> FixedPoint:
+    """The operating point (internal units) of value dicts merged onto the
+    defaults by ``merge``: later layers win; an unknown key is a ValueError."""
+    values = merge(*layers)
     return FixedPoint(
         params=SystemParams(
             omega_a=hz_to_internal(values["omega_a_hz"]),
@@ -128,5 +130,5 @@ def fixed_from_values(values: dict[str, float]) -> FixedPoint:
 
 def default_params() -> tuple[SystemParams, Environment]:
     """System parameters and bath of the reference point (``DEFAULTS``)."""
-    point = fixed_from_values(DEFAULTS)
+    point = fixed_from_values()
     return point.params, Environment.from_temperature(point.temperature, point.params)

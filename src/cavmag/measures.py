@@ -131,6 +131,14 @@ def input_squeezing_db(r: float) -> float:
 POINT_QUANTITIES = ("log_negativity", "nu_minus", "duan_sum", "mancini_product",
                     "var_x1", "var_Mx", "var_my", "squeezing_db_x1", "squeezing_db_Mx")
 
+
+def check_outputs(names) -> None:
+    """ValueError naming the first of ``names`` not in POINT_QUANTITIES."""
+    for name in names:
+        if name not in POINT_QUANTITIES:
+            raise ValueError(f"unknown output {name!r}; valid: {', '.join(POINT_QUANTITIES)}")
+
+
 # Squeezing columns and the variance column each is taken from.
 _SQUEEZING_OF = {"squeezing_db_x1": "var_x1", "squeezing_db_Mx": "var_Mx"}
 
@@ -146,11 +154,9 @@ def quantities(v, names) -> np.ndarray:
     collective_variances; log negativity (EntanglementResult) and squeezing
     (squeezing_db) are applied per value.  Each value is therefore the one
     the per-matrix functions give, bit for bit.  An unknown name raises
-    ValueError.
+    ValueError (check_outputs).
     """
-    for name in names:
-        if name not in POINT_QUANTITIES:
-            raise ValueError(f"unknown output {name!r}; valid: {', '.join(POINT_QUANTITIES)}")
+    check_outputs(names)
     v = np.asarray(v, dtype=float)
     nu = symplectic_eigenvalues(v[..., 2:, 2:] * _PT_SIGNS)[..., 0].ravel()
     var_Mx, _, _, var_my = map(np.ravel, _collective(v))

@@ -30,7 +30,7 @@ from . import config
 from .config import fixed_from_values
 from .dynamics import (DiffusionMatrix, _diffusions, _hold, build_diffusion, build_drift,
                        stability_check)
-from .measures import DUAN_BOUND, MANCINI_BOUND, POINT_QUANTITIES, quantities
+from .measures import DUAN_BOUND, MANCINI_BOUND, POINT_QUANTITIES, check_outputs, quantities
 from .model import (
     DriveParams,
     Environment,
@@ -47,9 +47,6 @@ from .steadystate import _one_drift_solves, solve_lyapunov
 # still patches them under cavmag.sweep, so they stay importable here.
 from .measures import (collective_variances, duan_sum, log_negativity,  # noqa: F401
                        mancini_product, reduce_to_magnons, squeezing_db)
-
-# Every point quantity except the diagnostic nu_minus.
-QUANTITIES = tuple(name for name in POINT_QUANTITIES if name != "nu_minus")
 
 DEFAULT_POINTS = 101
 
@@ -142,11 +139,7 @@ class SweepSpec:
             raise ValueError("range2 given without axis2")
         if not self.outputs:
             raise ValueError("at least one output quantity is required")
-        for name in self.outputs:
-            if name not in QUANTITIES:
-                raise ValueError(
-                    f"unknown output {name!r}; valid: {', '.join(QUANTITIES)}"
-                )
+        check_outputs(self.outputs)
         if len(set(self.outputs)) != len(self.outputs):
             raise ValueError("duplicate output quantities")
 
@@ -483,7 +476,7 @@ def preset(name: str, points: int = DEFAULT_POINTS,
                 )
     omega_s = config.merge(base, overrides)["omega_s_hz"]
     pins = dict(definition.pins, **dict.fromkeys(definition.resonant, omega_s))
-    fixed = fixed_from_values(config.merge(base, pins, overrides))
+    fixed = fixed_from_values(base, pins, overrides)
     axis1 = definition.axes[0]
     axis2 = definition.axes[1] if len(definition.axes) > 1 else None
     _check_range(axis1, (0, 1, points))  # the count, before theta's range divides by it

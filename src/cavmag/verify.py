@@ -17,7 +17,6 @@ import numpy as np
 from . import config, steadystate, sweep
 from .dynamics import stability_check
 from .measures import DUAN_BOUND, MANCINI_BOUND, POINT_QUANTITIES, input_squeezing_db
-from .model import FixedPoint
 from .steadystate import propagate_covariance, solve_lyapunov, solve_lyapunov_kron
 from .sweep import axis_values, get_axis, point_quantities, preset, run_sweep, steady_state
 
@@ -51,14 +50,9 @@ def _result(number, name, passed, detail) -> CriterionResult:
     return CriterionResult(number=number, name=name, passed=bool(passed), detail=detail)
 
 
-def _reference(**config_keys) -> FixedPoint:
-    """The reference operating point, with configuration keys overridden."""
-    return config.fixed_from_values(config.merge(config_keys))
-
-
 def _quantities(**config_keys) -> dict[str, float]:
     """Every point quantity at the reference point with keys overridden."""
-    return point_quantities(steady_state(_reference(**config_keys))[2])
+    return point_quantities(steady_state(config.fixed_from_values(config_keys))[2])
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,7 +188,7 @@ def check_solver_agreement() -> CriterionResult:
     residual bound steadystate.RESIDUAL_RTOL * max|D| on 20 seeded random
     stable systems plus the reference point."""
     rng = np.random.default_rng(_RANDOM_SEED)
-    drift, diffusion, _ = steady_state(_reference())
+    drift, diffusion, _ = steady_state(config.fixed_from_values())
     pairs = [(drift.a, diffusion.d)]
     pairs += [_random_stable_pair(rng) for _ in range(20)]
     worst_gap = 0.0
@@ -219,7 +213,7 @@ def check_transient_consistency() -> CriterionResult:
     """Exact propagation from vacuum over t = 50/kappa_m in steps of
     1/||A||_2, which uses no Lyapunov solve, reaches the steady state
     within 1e-6 entrywise."""
-    reference = _reference()
+    reference = config.fixed_from_values()
     drift, diffusion, steady = steady_state(reference)
     t_final = 50.0 / reference.params.kappa_m1
     dt = 1.0 / np.linalg.norm(drift.a, 2)
@@ -239,7 +233,7 @@ def check_physicality_null_cases() -> CriterionResult:
     worst_nu_defect = 0.0
     worst_e = 0.0
     for temperature in (0.0, 0.1, 0.3):
-        reference = _reference(r=0.0, temperature_k=temperature)
+        reference = config.fixed_from_values({"r": 0.0, "temperature_k": temperature})
         for nu_a in axis_values(delta_a.preset_range(reference, 5)):
             for nu_m in axis_values(delta_m.preset_range(reference, 5)):
                 point = delta_m.apply(delta_a.apply(reference, nu_a), nu_m)

@@ -4,7 +4,7 @@ import pytest
 
 import cavmag
 import cavmag.sweep
-from cavmag import config, dynamics, model, verify
+from cavmag import config, dynamics, model
 from cavmag.cli import main
 from cavmag.model import internal_to_hz
 
@@ -72,18 +72,44 @@ def test_defaults_cover_all_keys():
 
 
 def test_system_params_conversion():
-    params = config.fixed_from_values(config.merge()).params
+    params = config.fixed_from_values().params
     assert params.omega_a == 10000.0
     assert params.kappa_a == 5.0
     assert params.g1 == 20.0
 
 
 def test_fixed_from_values_of_defaults_is_the_reference_point():
-    assert config.fixed_from_values(config.DEFAULTS) == verify._reference()
-    assert type(verify._reference()) is model.FixedPoint
+    assert config.fixed_from_values(config.DEFAULTS) == config.fixed_from_values()
+    assert type(config.fixed_from_values()) is model.FixedPoint
     assert cavmag.FixedPoint is cavmag.sweep.FixedPoint is model.FixedPoint
     assert cavmag.sweep.fixed_from_values is config.fixed_from_values
     assert cavmag.UnstableSystemError is dynamics.UnstableSystemError
+
+
+def test_fixed_from_values_builds_a_partial_dict():
+    # The keys not given keep their defaults: {"r": 1.0} is the full
+    # configuration with r = 1.
+    point = config.fixed_from_values({"r": 1.0})
+    assert point == config.fixed_from_values(dict(config.DEFAULTS, r=1.0))
+    reference = config.fixed_from_values()
+    assert point == model.FixedPoint(reference.params, model.DriveParams(1.0, 0.0),
+                                     reference.temperature)
+
+
+def test_fixed_from_values_later_layers_win():
+    point = config.fixed_from_values({"r": 1.0, "g1_hz": 1e6, "temperature_k": 0.1},
+                                     {"r": 0.5, "g2_hz": 2e6},
+                                     {"r": 0.25, "temperature_k": 0.0})
+    assert point == config.fixed_from_values(dict(
+        config.DEFAULTS, r=0.25, g1_hz=1e6, g2_hz=2e6, temperature_k=0.0))
+    assert (point.drive.r, point.params.g1, point.params.g2, point.temperature) == (
+        0.25, 1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("layers", [({"bogus": 1.0},), ({"r": 1.0}, {"bogus": 1.0})])
+def test_fixed_from_values_rejects_an_unknown_key(layers):
+    with pytest.raises(ValueError, match="^unknown key 'bogus'; valid keys: omega_a_hz, "):
+        config.fixed_from_values(*layers)
 
 
 def test_load_config(tmp_path):

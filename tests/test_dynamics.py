@@ -8,7 +8,7 @@ from scipy.linalg import lapack
 
 from _systems import rotation
 from cavmag import dynamics
-from cavmag.config import default_params, fixed_from_values, merge
+from cavmag.config import default_params, fixed_from_values
 from cavmag.dynamics import (
     RESOLUTION_RTOL,
     DiffusionMatrix,
@@ -321,7 +321,7 @@ def test_drift_just_above_the_floor_has_no_steady_state(solver):
 def test_model_drift_beyond_resolution_is_refused_but_not_unstable():
     # g1 = 1e300 Hz: a damped drift whose spectrum double precision cannot
     # separate from zero at its scale.
-    params = fixed_from_values(merge({"g1_hz": 1e300})).params
+    params = fixed_from_values({"g1_hz": 1e300}).params
     drift = build_drift(detunings_from(params), params)
     with pytest.raises(ArithmeticError, match="^unresolved steady state: ") as info:
         stability_check(drift).require()

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import itertools
@@ -14,9 +15,9 @@ from scipy.linalg import lapack
 
 import cavmag.sweep as sweep_mod
 from _systems import FIXED_DRIFT_PRESETS, per_point_sweep, reference_point
-from cavmag import config, dynamics, steadystate
+from cavmag import cli, config, dynamics, steadystate
+from cavmag.measures import POINT_QUANTITIES, quantities
 from cavmag.sweep import (
-    QUANTITIES,
     GridRow,
     SweepResult,
     SweepSpec,
@@ -777,25 +778,70 @@ def test_format_csv_holds_its_text_at_most_twice():
 
 
 def test_sweep_outputs_are_the_point_quantities():
-    # every quantity `cavmag point` prints is a sweep output, except the
-    # diagnostic nu_minus
+    # every quantity `cavmag point` prints is a sweep output, nu_minus included
     _, _, cm = steady_state(reference_point())
-    assert set(QUANTITIES) == set(point_quantities(cm)) - {"nu_minus"}
+    spec = SweepSpec(axis1="r", range1=(0.0, 1.0, 2), fixed=reference_point(),
+                     outputs=tuple(point_quantities(cm)))
+    assert spec.outputs == POINT_QUANTITIES
+
+
+@pytest.mark.parametrize("name", ["fig2b", "fig5b"])
+def test_sweep_of_every_point_quantity_matches_the_per_point_pipeline(name):
+    # A detuning grid and a fixed-drift grid, nu_minus column included.
+    spec = replace(preset(name, 7), outputs=POINT_QUANTITIES)
+    text = format_csv(run_sweep(spec))
+    assert text.split("\n", 1)[0].split(",")[2:-1] == list(POINT_QUANTITIES)
+    assert text == format_csv(per_point_sweep(spec))
+
+
+@pytest.mark.parametrize("outputs", [("var_x1", "foo"), ("foo",)])
+def test_sweep_and_quantities_refuse_an_unknown_output_alike(outputs):
+    with pytest.raises(ValueError) as spec_error:
+        SweepSpec(axis1="r", range1=(0, 1, 3), fixed=reference_point(), outputs=outputs)
+    with pytest.raises(ValueError) as quantities_error:
+        quantities(steady_state(reference_point())[2].v, outputs)
+    assert str(spec_error.value) == str(quantities_error.value) == (
+        "unknown output 'foo'; valid: " + ", ".join(POINT_QUANTITIES))
+
+
+def _run_readme_example(capsys):
+    """The README's Python API example, run as printed from its first line
+    to its last: the names its low-level pipeline defines, before the
+    two-step variant reuses them, and the lines the whole example prints."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    low_level, two_step = block.split("# The same pipeline", 1)
+    names = {}
+    exec(low_level, names)
+    low_level_names = dict(names)
+    exec("# The same pipeline" + two_step, names)
+    return low_level_names, capsys.readouterr().out.splitlines()
 
 
 def test_readme_pipeline_is_the_steady_state_of_the_defaults(capsys):
-    # The README's low-level API example, run as printed up to its two-step
-    # variant, builds the same arrays as sweep.steady_state and prints the
-    # numbers its comments state.
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    names = {}
-    exec(readme.split("```python\n", 1)[1].split("# The same pipeline", 1)[0], names)
+    # The low-level pipeline builds the same arrays as sweep.steady_state
+    # and prints the numbers its comments state.
+    names, printed = _run_readme_example(capsys)
     drift, diffusion, cm = steady_state(config.fixed_from_values(config.DEFAULTS))
     assert np.array_equal(names["drift"].a, drift.a)
     assert np.array_equal(names["diffusion"].d, diffusion.d)
     assert np.array_equal(names["cm"].v, cm.v)
-    log_negativity, squeezing_db = capsys.readouterr().out.splitlines()[:2]
+    log_negativity, squeezing_db = printed[:2]
     assert (f"{float(log_negativity):.3f}", f"{float(squeezing_db):.2f}") == ("0.838", "2.27")
+
+
+def test_readme_two_step_pipeline_prints_what_cavmag_point_prints(capsys):
+    # The example's last line prints the point_quantities dict at r = 1;
+    # `cavmag point --set r=1` prints the same values, bit for bit.
+    _, printed = _run_readme_example(capsys)
+    example = ast.literal_eval(printed[-1])
+    assert cli.main(["point", "--set", "r=1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "stability = stable"
+    point = {name: float(value) for name, value in (line.split(" = ") for line in lines[1:])}
+    # Both print every digit that round-trips a double.
+    assert list(example) == list(POINT_QUANTITIES)
+    assert example == point
 
 
 @pytest.mark.parametrize("name", FIXED_DRIFT_PRESETS)
@@ -814,13 +860,13 @@ def test_vacuum_line_at_zero_temperature():
     # theta line has the first point's diffusion.
     fixed = reference_point(r=0.0, temperature_k=0.0)
     spec = SweepSpec(axis1="theta", range1=(0.0, 3.0, 4), fixed=fixed,
-                     outputs=QUANTITIES)
+                     outputs=POINT_QUANTITIES)
     result = run_sweep(spec)
     assert format_csv(result) == format_csv(per_point_sweep(spec))
     assert max(result.column("log_negativity")) <= 1e-12
     assert result.column("var_my")[0] == pytest.approx(0.5, rel=1e-15)
     # The r line from the vacuum.
-    spec = SweepSpec(axis1="r", range1=(0.0, 2.0, 5), fixed=fixed, outputs=QUANTITIES)
+    spec = SweepSpec(axis1="r", range1=(0.0, 2.0, 5), fixed=fixed, outputs=POINT_QUANTITIES)
     assert format_csv(run_sweep(spec)) == format_csv(per_point_sweep(spec))
 
 

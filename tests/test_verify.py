@@ -7,7 +7,8 @@ import pytest
 import cavmag.sweep
 from cavmag import config, verify
 from cavmag.config import fixed_from_values
-from cavmag.sweep import SweepResult, axis_values, format_csv, preset, run_sweep
+from cavmag.sweep import (SweepResult, axis_values, format_csv, point_quantities, preset,
+                          run_sweep, steady_state)
 
 
 @pytest.fixture
@@ -158,5 +159,8 @@ def test_run_verification_numbers_the_checks_in_order(monkeypatch):
 
 
 def test_reference_is_the_default_configuration():
-    assert verify._reference() == fixed_from_values(config.merge())
-    assert verify._reference(r=1.0) == fixed_from_values(config.merge({"r": 1.0}))
+    # The checks' point quantities are those of the defaults, with the
+    # keys they name overridden.
+    for keys in ({}, {"r": 1.0}):
+        expected = point_quantities(steady_state(fixed_from_values(config.DEFAULTS, keys))[2])
+        assert verify._quantities(**keys) == expected
