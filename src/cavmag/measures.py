@@ -99,78 +99,77 @@ def _collective(v):
 
 def duan_sum(cm: CovarianceMatrix) -> float:
     """Inseparability sum <dMx^2> + <dmy^2>; below 1 certifies entanglement."""
-    cv = collective_variances(cm)
-    return cv.var_Mx + cv.var_my
+    return _COLUMNS["duan_sum"](cm.v, None)
 
 
 def mancini_product(cm: CovarianceMatrix) -> float:
     """Inseparability product <dMx^2><dmy^2>; below 1/4 certifies entanglement."""
-    cv = collective_variances(cm)
-    return cv.var_Mx * cv.var_my
+    return _COLUMNS["mancini_product"](cm.v, None)
 
 
 def squeezing_db(variance: float) -> float:
     """Squeezing of a quadrature variance in dB relative to vacuum.
 
     Returns -10 log10(variance / (1/2)); positive values mean noise below
-    the vacuum level.
+    the vacuum level.  The variance must be finite and positive.
     """
-    if variance <= 0.0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    if not 0.0 < variance < math.inf:
+        rule = "positive" if math.isfinite(variance) else "finite"
+        raise ValueError(f"variance must be {rule}, got {variance}")
     return -10.0 * math.log10(variance / VACUUM_VARIANCE)
 
 
 def input_squeezing_db(r: float) -> float:
-    """Squeezing of the drive field itself: 10 log10(e^(2r)) = 20 r / ln 10."""
-    if r < 0.0:
-        raise ValueError(f"squeezing parameter r must be nonnegative, got {r}")
+    """Squeezing 10 log10(e^(2r)) = 20 r / ln 10 of the drive, r finite and >= 0."""
+    if not 0.0 <= r < math.inf:
+        rule = "nonnegative" if math.isfinite(r) else "finite"
+        raise ValueError(f"squeezing parameter r must be {rule}, got {r}")
     return 20.0 * r / math.log(10.0)
 
 
-# Every quantity ``quantities`` builds, in the order ``cavmag point`` prints.
-POINT_QUANTITIES = ("log_negativity", "nu_minus", "duan_sum", "mancini_product",
-                    "var_x1", "var_Mx", "var_my", "squeezing_db_x1", "squeezing_db_Mx")
+def _squeezing(name):
+    """The column of squeezing_db, per value, of the variance column ``name``."""
+    return lambda v, nu: [squeezing_db(x) for x in np.ravel(_COLUMNS[name](v, nu)).tolist()]
+
+
+# Every output, in the order ``cavmag point`` prints, and the function that
+# builds its column from v (one covariance or a stack) and the flat array nu
+# of its nu_minus; _collective(v)[::3] is the (var_Mx, var_my) of Duan/Mancini.
+_COLUMNS = {
+    "log_negativity": lambda v, nu: [EntanglementResult(x).log_negativity for x in nu.tolist()],
+    "nu_minus": lambda v, nu: nu,
+    "duan_sum": lambda v, nu: np.add(*_collective(v)[::3]),
+    "mancini_product": lambda v, nu: np.multiply(*_collective(v)[::3]),
+    "var_x1": lambda v, nu: v[..., 2, 2],
+    "var_Mx": lambda v, nu: _collective(v)[0],
+    "var_my": lambda v, nu: _collective(v)[3],
+    "squeezing_db_x1": _squeezing("var_x1"),
+    "squeezing_db_Mx": _squeezing("var_Mx"),
+}
+POINT_QUANTITIES = tuple(_COLUMNS)
 
 
 def check_outputs(names) -> None:
     """ValueError naming the first of ``names`` not in POINT_QUANTITIES."""
     for name in names:
-        if name not in POINT_QUANTITIES:
+        if name not in _COLUMNS:
             raise ValueError(f"unknown output {name!r}; valid: {', '.join(POINT_QUANTITIES)}")
 
 
-# Squeezing columns and the variance column each is taken from.
-_SQUEEZING_OF = {"squeezing_db_x1": "var_x1", "squeezing_db_Mx": "var_Mx"}
-
-
 def quantities(v, names) -> np.ndarray:
-    """The named POINT_QUANTITIES of a steady-state covariance or a stack
-    (..., 6, 6) of them, as one float64 block of shape v.shape[:-2] +
-    (len(names),): one column per name, in ``names`` order.
-
-    nu_minus comes from one symplectic_eigenvalues call on the stack, and
-    it is computed whatever the names, so an unphysical state always raises.
-    The collective variances are the elementwise arithmetic of
-    collective_variances; log negativity (EntanglementResult) and squeezing
-    (squeezing_db) are applied per value.  Each value is therefore the one
-    the per-matrix functions give, bit for bit.  An unknown name raises
-    ValueError (check_outputs).
+    """The named POINT_QUANTITIES of a covariance or a stack (..., 6, 6) of
+    them: one float64 block of shape v.shape[:-2] + (len(names),), a column
+    per name in ``names`` order, built by its table entry alone to the bits
+    of the per-matrix function.  Whatever the names, nu_minus comes from one
+    symplectic_eigenvalues call on v as given, and any that is not positive
+    raises EntanglementResult's ValueError; an unknown name raises ValueError.
     """
     check_outputs(names)
     v = np.asarray(v, dtype=float)
     nu = symplectic_eigenvalues(v[..., 2:, 2:] * _PT_SIGNS)[..., 0].ravel()
-    var_Mx, _, _, var_my = map(np.ravel, _collective(v))
-    columns = {
-        "log_negativity": [EntanglementResult(x).log_negativity for x in nu.tolist()],
-        "nu_minus": nu,
-        "duan_sum": var_Mx + var_my,
-        "mancini_product": var_Mx * var_my,
-        "var_x1": np.ravel(v[..., 2, 2]),
-        "var_Mx": var_Mx,
-        "var_my": var_my,
-    }
+    if not (nu > 0.0).all():
+        EntanglementResult(float(nu[~(nu > 0.0)][0]))  # raises its ValueError
     block = np.empty((nu.size, len(names)))
     for j, name in enumerate(names):
-        block[:, j] = ([squeezing_db(x) for x in columns[_SQUEEZING_OF[name]].tolist()]
-                       if name in _SQUEEZING_OF else columns[name])
+        block[:, j] = np.ravel(_COLUMNS[name](v, nu))
     return block.reshape(v.shape[:-2] + (len(names),))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _systems import V_X1_REFERENCE, reference_point, reference_system, rotation
+from cavmag import measures
 from cavmag.config import default_params
 from cavmag.dynamics import build_diffusion, build_drift
 from cavmag.measures import (
@@ -223,6 +224,18 @@ def test_squeezing_db():
         squeezing_db(-0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_squeezing_db_refuses_a_non_finite_variance(value):
+    with pytest.raises(ValueError, match=f"^variance must be finite, got {value}$"):
+        squeezing_db(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_input_squeezing_db_refuses_a_non_finite_r(value):
+    with pytest.raises(ValueError, match=f"^squeezing parameter r must be finite, got {value}$"):
+        input_squeezing_db(value)
+
+
 def test_input_squeezing_db():
     assert input_squeezing_db(0.0) == 0.0
     assert input_squeezing_db(2.0) == pytest.approx(40.0 / math.log(10.0), rel=1e-15)
@@ -278,3 +291,31 @@ def test_quantities_is_one_block_of_the_per_matrix_values(shape):
     assert [[float(x).hex() for x in row]
             for row in block.reshape(-1, len(POINT_QUANTITIES)).tolist()] == [
         [float(x).hex() for x in per_matrix(cm)] for cm in cms]
+
+
+def test_quantities_builds_only_the_named_columns(monkeypatch):
+    # Variance and squeezing columns build no EntanglementResult; the
+    # log-negativity column builds one per matrix.
+    built = []
+
+    class Spy(EntanglementResult):
+        def __post_init__(self):
+            built.append(self.nu_minus)
+            super().__post_init__()
+
+    monkeypatch.setattr(measures, "EntanglementResult", Spy)
+    v = np.array([steady_state(reference_point(r=0.5 * k))[2].v for k in range(3)])
+    quantities(v, ("var_x1", "squeezing_db_x1"))
+    assert built == []
+    quantities(v, ("log_negativity",))
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("names", [("var_x1",), ("squeezing_db_x1",), ("log_negativity",)])
+def test_quantities_refuses_a_zero_nu_minus_whatever_the_names(names):
+    # A singular magnon block: <dx1^2> = 1 and <dy1^2> = 0, so nu_minus = 0.
+    # var_x1 alone would read 1.0, but the state is refused whatever is asked.
+    v = 0.5 * np.eye(6)
+    v[2, 2], v[3, 3] = 1.0, 0.0
+    with pytest.raises(ValueError, match=r"^nu_minus must be positive, got 0\.0$"):
+        quantities(v, names)

@@ -1,21 +1,29 @@
-"""The package's nu_minus against the closed-form resonant oracle
-``_systems.resonant_nu_minus``, which uses no Lyapunov solver."""
+"""The package's outputs against the closed-form resonant oracles of
+``_systems`` (nu_minus, the other outputs, E as r grows and the critical
+temperature), which use no Lyapunov solver."""
 
 import math
 
 import numpy as np
 import pytest
 
-from _systems import RESONANCE_RULES, reference_point, resonant_nu_minus
+from _systems import (EQUAL_COUPLING_RULES, RESONANCE_RULES, reference_point,
+                      resonant_critical_temperature, resonant_log_negativity_limit,
+                      resonant_nu_minus, resonant_quantities)
 from cavmag import config
-from cavmag.measures import quantities
+from cavmag.measures import POINT_QUANTITIES, quantities
 from cavmag.sweep import steady_state
+
+
+def _package(names, **config_keys):
+    """The package's named outputs at ``reference_point(**config_keys)``."""
+    v = steady_state(reference_point(**config_keys))[2].v
+    return dict(zip(names, quantities(v, names).tolist()))
 
 
 def _nu_minus(**config_keys):
     """The package's nu_minus at ``reference_point(**config_keys)``."""
-    v = steady_state(reference_point(**config_keys))[2].v
-    return float(quantities(v, ["nu_minus"])[0])
+    return _package(["nu_minus"], **config_keys)["nu_minus"]
 
 
 def _resonant_points(count, seed):
@@ -83,3 +91,84 @@ def test_package_nu_minus_meets_the_resonant_oracle_at_r_14():
     with pytest.warns(RuntimeWarning, match="squeezing parameter r = 14"):
         nu_minus = _nu_minus(r=14.0)
     assert nu_minus == pytest.approx(resonant_nu_minus(r=14.0), rel=1e-10, abs=0)
+
+
+# The outputs resonant_quantities gives: all but the two from nu_minus.
+_OTHER_OUTPUTS = tuple(q for q in POINT_QUANTITIES if q not in ("log_negativity", "nu_minus"))
+
+# A relative error of 1e-10 in a variance moves its squeezing by this many dB.
+_SQUEEZING_DB_TOL = 10.0 / math.log(10.0) * 1e-10
+
+# The corners the seeded points may miss: the largest r, a warm bath,
+# unequal couplings and a broader cavity.
+_THETA_ZERO_EDGES = [{}, {"r": 3.0}, {"temperature_k": 0.2},
+                     {"g2_hz": 0.5 * config.DEFAULTS["g1_hz"]}, {"kappa_a_hz": 20e6}]
+
+
+@pytest.mark.parametrize("keys", _THETA_ZERO_EDGES + [
+    dict(keys, theta_rad=0.0, r=0.75 * keys["r"]) for keys in _resonant_points(7, 20261022)])
+def test_package_outputs_meet_the_resonant_oracle(keys):
+    package, oracle = _package(list(_OTHER_OUTPUTS), **keys), resonant_quantities(**keys)
+    assert set(oracle) == set(_OTHER_OUTPUTS)
+    for name in _OTHER_OUTPUTS:
+        if name.startswith("squeezing_db"):
+            assert package[name] == pytest.approx(oracle[name], rel=0, abs=_SQUEEZING_DB_TOL)
+        else:
+            assert package[name] == pytest.approx(oracle[name], rel=1e-10, abs=0), name
+
+
+def test_oracle_gives_the_reference_checks_their_values():
+    # verify checks 1, 2 and 4: magnon and collective squeezing at the
+    # defaults, and var_my at the vacuum level when the bath is at T = 0.
+    oracle = resonant_quantities()
+    assert round(oracle["squeezing_db_x1"], 4) == 2.2658
+    assert round(oracle["squeezing_db_Mx"], 4) == 7.2813
+    assert resonant_quantities(temperature_k=0.0)["var_my"] == 0.5
+
+
+def test_resonant_quantities_refuses_a_nonzero_phase():
+    with pytest.raises(ValueError, match=r"^resonant oracle needs theta_rad = 0, got 0\.5$"):
+        resonant_quantities(theta_rad=0.5)
+
+
+@pytest.mark.parametrize("key, other", RESONANCE_RULES)
+def test_resonant_quantities_refuses_a_point_off_resonance(key, other):
+    with pytest.raises(ValueError, match=f"^resonant oracle needs {key} = {other}, got "):
+        resonant_quantities(**{key: 1.01 * config.DEFAULTS[key]})
+
+
+def test_log_negativity_limit_at_the_defaults():
+    # The value item A targets ("E = 0.88058802 for every R >= 12"), and
+    # the limit of the general oracle.
+    e_inf = resonant_log_negativity_limit()
+    assert e_inf == pytest.approx(0.8805880228521985, rel=1e-15)
+    assert -math.log(2.0 * resonant_nu_minus(r=100.0)) == pytest.approx(e_inf, rel=1e-15)
+
+
+# ROADMAP item C's T_c(r) at the defaults, from bisection on the package.
+_CRITICAL_TEMPERATURES = {0.5: 0.3509335966274645, 1.0: 0.4653428257355706,
+                          2.0: 0.5328263014014387, 3.0: 0.5425063859091498}
+
+
+@pytest.mark.parametrize("r, t_c", _CRITICAL_TEMPERATURES.items())
+def test_critical_temperature_at_the_defaults(r, t_c):
+    t_oracle = resonant_critical_temperature(r=r)
+    assert t_oracle == pytest.approx(t_c, rel=1e-12)
+    # The general oracle puts nu_minus = 1/2 there.
+    assert resonant_nu_minus(r=r, temperature_k=t_oracle) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_package_entanglement_ends_at_the_critical_temperature():
+    t_c = resonant_critical_temperature(r=2.0)
+    below = _package(["log_negativity"], r=2.0, temperature_k=t_c * (1.0 - 1e-9))
+    above = _package(["log_negativity"], r=2.0, temperature_k=t_c * (1.0 + 1e-9))
+    assert below["log_negativity"] > 0.0
+    assert above["log_negativity"] == 0.0
+
+
+@pytest.mark.parametrize("oracle", [resonant_log_negativity_limit,
+                                    resonant_critical_temperature])
+@pytest.mark.parametrize("key, other", EQUAL_COUPLING_RULES)
+def test_equal_coupling_oracles_refuse_a_broken_rule(oracle, key, other):
+    with pytest.raises(ValueError, match=f"^resonant oracle needs {key} = {other}, got "):
+        oracle(**{key: 1.01 * config.DEFAULTS[key]})
